@@ -16,8 +16,8 @@ BUILD_DIR="${1:-build-tsan}"
 cmake -B "$BUILD_DIR" -S . -DDPAXOS_SANITIZE=thread
 cmake --build "$BUILD_DIR" \
     --target shard_runner_test bench_simperf mpsc_queue_test \
-             transport_test fast_path_test wal_test ownership_test \
-             -j"$(nproc)"
+             transport_test realnet_election_test fast_path_test wal_test \
+             ownership_test -j"$(nproc)"
 
 # halt_on_error so the first race fails the gate instead of scrolling by.
 export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
@@ -28,10 +28,14 @@ export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
 # Multi-producer contention on the queue behind EventLoop::PostTask —
 # the reactor pool's inbound handoff rides entirely on its ordering.
 "$BUILD_DIR/tests/mpsc_queue_test"
-# Reactor threads vs the main loop: the delayed reply-flush timer races
-# enqueue against the coalescing flush, and fast-path message fan-in
-# lands on the pool's handoff queue from every reactor at once.
-"$BUILD_DIR/tests/transport_test" --gtest_filter='*ReactorPool*'
+# Reactor threads vs the main loop: every TcpTransport serves its
+# accepted connections on a reactor thread, so every TCP cell races the
+# reactor's decode + post against the home loop's handlers, the
+# end-of-round reply handoff against the reactor's gather write, and
+# stats() snapshots against the reactor counters. realnet_election_test
+# runs three replicas' protocol traffic through those pools.
+"$BUILD_DIR/tests/transport_test"
+"$BUILD_DIR/tests/realnet_election_test"
 "$BUILD_DIR/tests/fast_path_test"
 # WAL group commit: SyncThen callbacks scheduled through the event loop
 # vs the append path — single-threaded by design, but the death test and

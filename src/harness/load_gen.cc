@@ -2,11 +2,9 @@
 
 #include <sys/epoll.h>
 #include <sys/socket.h>
-#include <sys/uio.h>
 #include <unistd.h>
 
 #include <cerrno>
-#include <deque>
 #include <memory>
 #include <unordered_map>
 #include <utility>
@@ -20,7 +18,6 @@ namespace dpaxos {
 
 namespace {
 
-constexpr size_t kMaxIovPerWrite = 64;
 constexpr Duration kRedialDelay = 100 * kMillisecond;
 constexpr Duration kArrivalTick = 1 * kMillisecond;
 /// Duration-mode grace for draining in-flight requests past the end.
@@ -44,8 +41,7 @@ class Driver {
     bool flush_scheduled = false;
     uint64_t next_request_id = 1;
     FrameDecoder decoder;
-    std::deque<std::string> outq;  ///< staged frames, gather-written
-    size_t outpos = 0;
+    OutQueue out;
     /// request_id -> intended arrival (open loop) / issue time (closed).
     std::unordered_map<uint64_t, Timestamp> inflight;
     EventId redial_timer = 0;
@@ -111,8 +107,7 @@ void Driver::Dial(GenConn* conn) {
   conn->established = false;
   conn->want_write = true;  // EPOLLOUT armed to learn connect completion
   conn->decoder = FrameDecoder();
-  conn->outq.clear();
-  conn->outpos = 0;
+  conn->out.Clear();
   Status st = loop_.WatchFd(conn->fd, EPOLLIN | EPOLLOUT,
                             [this, conn](uint32_t ev) { ConnEvent(conn, ev); });
   if (!st.ok()) OnConnError(conn);
@@ -147,7 +142,7 @@ void Driver::ConnEvent(GenConn* conn, uint32_t events) {
       Hello hello;
       hello.kind = PeerKind::kClient;
       hello.id = conn->client_id;
-      conn->outq.push_back(EncodeHelloFrame(hello));
+      conn->out.Push(EncodeHelloFrame(hello));
       if (options_.rate == 0) TopUpClosedLoop(conn);
     }
     FlushConn(conn);
@@ -213,8 +208,7 @@ void Driver::OnConnError(GenConn* conn) {
   conn->fd = -1;
   conn->established = false;
   conn->want_write = false;
-  conn->outq.clear();
-  conn->outpos = 0;
+  conn->out.Clear();
   ScheduleRedial(conn);
 }
 
@@ -227,7 +221,7 @@ void Driver::IssueOp(GenConn* conn, Timestamp intended_start) {
                 options_.key_space == 0 ? 1 : options_.key_space));
   req.value = "v" + std::to_string(next_value_++);
   conn->inflight.emplace(req.request_id, intended_start);
-  conn->outq.push_back(EncodeClientRequestFrame(req));
+  conn->out.Push(EncodeClientRequestFrame(req));
   ++ops_issued_;
   ScheduleFlush(conn);
 }
@@ -283,51 +277,16 @@ void Driver::ScheduleFlush(GenConn* conn) {
 }
 
 void Driver::FlushConn(GenConn* conn) {
-  for (;;) {
-    if (conn->outq.empty()) break;
-    iovec iov[kMaxIovPerWrite];
-    size_t niov = 0;
-    for (const std::string& frame : conn->outq) {
-      if (niov == kMaxIovPerWrite) break;
-      const size_t skip = niov == 0 ? conn->outpos : 0;
-      iov[niov].iov_base = const_cast<char*>(frame.data()) + skip;
-      iov[niov].iov_len = frame.size() - skip;
-      ++niov;
-    }
-    msghdr mh{};
-    mh.msg_iov = iov;
-    mh.msg_iovlen = niov;
-    const ssize_t n = sendmsg(conn->fd, &mh, MSG_NOSIGNAL);
-    if (n > 0) {
-      size_t remaining = static_cast<size_t>(n);
-      while (remaining > 0) {
-        std::string& front = conn->outq.front();
-        const size_t left = front.size() - conn->outpos;
-        if (remaining >= left) {
-          remaining -= left;
-          conn->outpos = 0;
-          conn->outq.pop_front();
-        } else {
-          conn->outpos += remaining;
-          remaining = 0;
-        }
-      }
-      continue;
-    }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      if (!conn->want_write) {
-        conn->want_write = true;
-        loop_.UpdateFd(conn->fd, EPOLLIN | EPOLLOUT);
-      }
-      return;
-    }
-    if (n < 0 && errno == EINTR) continue;
+  GatherWriteStats ws;
+  const GatherWriteResult result = GatherWrite(conn->fd, &conn->out, &ws);
+  if (result == GatherWriteResult::kFailed) {
     OnConnError(conn);
     return;
   }
-  if (conn->want_write) {
-    conn->want_write = false;
-    loop_.UpdateFd(conn->fd, EPOLLIN);
+  const bool want_write = result == GatherWriteResult::kBlocked;
+  if (want_write != conn->want_write) {
+    conn->want_write = want_write;
+    loop_.UpdateFd(conn->fd, EPOLLIN | (want_write ? EPOLLOUT : 0u));
   }
 }
 

@@ -157,31 +157,6 @@ Status NodeServer::Start() {
         OnClientRequest(conn, client_id, req);
       });
 
-  if (options_.reactors > 0) {
-    ReactorPoolOptions rp;
-    rp.reactors = options_.reactors;
-    rp.max_frame_bytes = options_.tcp.max_frame_bytes;
-    rp.num_nodes = options_.cluster.size();
-    rp.seed = options_.seed;
-    rp.reply_flush_delay = options_.reply_flush_delay;
-    reactors_ = std::make_unique<ReactorPool>(&loop_, rp);
-    reactors_->set_wire_decoder([](std::string_view bytes) -> MessagePtr {
-      Result<MessagePtr> r = DeserializeMessage(bytes);
-      return r.ok() ? r.value() : nullptr;
-    });
-    // Node frames are wire-decoded on the reactor; the home-loop handler
-    // reinjects them so the replica sees the usual transport delivery.
-    reactors_->set_node_message_handler([this](NodeId from, MessagePtr msg) {
-      transport_->InjectDelivery(from, msg);
-    });
-    reactors_->set_client_request_handler(
-        [this](uint64_t conn, uint64_t client_id, const ClientRequest& req) {
-          OnClientRequest(conn, client_id, req);
-        });
-    reactors_->Start();
-    transport_->set_accept_handoff([this](int fd) { reactors_->Adopt(fd); });
-  }
-
   if (options_.ownership) {
     directory_.emplace(/*num_partitions=*/1);
     access_stats_.emplace(options_.zones, options_.placement_stats_half_life);
@@ -246,7 +221,7 @@ void NodeServer::OnClientRequest(uint64_t conn, uint64_t client_id,
                 directory_->owner_node(0) != options_.node) {
               reply.redirect = directory_->owner_node(0);
             }
-            SendReply(conn, reply);
+            transport_->SendClientReply(conn, reply);
           });
       return;
     }
@@ -271,7 +246,7 @@ void NodeServer::OnClientRequest(uint64_t conn, uint64_t client_id,
               reply.request_id = request_id;
               reply.status_code = static_cast<uint8_t>(st.code());
               reply.value = st.ToString();
-              SendReply(conn, reply);
+              transport_->SendClientReply(conn, reply);
               return;
             }
             AnswerReadAtSlot(conn, request_id, std::move(key), slot,
@@ -284,7 +259,7 @@ void NodeServer::OnClientRequest(uint64_t conn, uint64_t client_id,
       reply.request_id = req.request_id;
       reply.status_code = static_cast<uint8_t>(StatusCode::kOk);
       reply.value = StatsString();
-      SendReply(conn, reply);
+      transport_->SendClientReply(conn, reply);
       return;
     }
   }
@@ -293,15 +268,7 @@ void NodeServer::OnClientRequest(uint64_t conn, uint64_t client_id,
   ClientReply reply;
   reply.request_id = req.request_id;
   reply.status_code = static_cast<uint8_t>(StatusCode::kInvalidArgument);
-  SendReply(conn, reply);
-}
-
-void NodeServer::SendReply(uint64_t conn, const ClientReply& reply) {
-  if (reactors_ != nullptr && IsReactorConnToken(conn)) {
-    reactors_->SendClientReply(conn, reply);
-  } else {
-    transport_->SendClientReply(conn, reply);
-  }
+  transport_->SendClientReply(conn, reply);
 }
 
 void NodeServer::AnswerReadAtSlot(uint64_t conn, uint64_t request_id,
@@ -318,7 +285,7 @@ void NodeServer::AnswerReadAtSlot(uint64_t conn, uint64_t request_id,
       reply.status_code = static_cast<uint8_t>(StatusCode::kNotFound);
     }
     reply.watermark = applier_.applied_watermark();
-    SendReply(conn, reply);
+    transport_->SendClientReply(conn, reply);
     return;
   }
   if (loop_.Now() >= deadline) {
@@ -328,7 +295,7 @@ void NodeServer::AnswerReadAtSlot(uint64_t conn, uint64_t request_id,
     reply.request_id = request_id;
     reply.status_code = static_cast<uint8_t>(StatusCode::kTimedOut);
     reply.value = "read barrier not applied";
-    SendReply(conn, reply);
+    transport_->SendClientReply(conn, reply);
     return;
   }
   loop_.Schedule(2 * kMillisecond,
@@ -618,7 +585,7 @@ void NodeServer::StartProtocolSteal(NodeId incumbent) {
 
 std::string NodeServer::StatsString() const {
   const ProtocolCounters& pc = replica_->counters();
-  const TcpTransportStats& ts = transport_->stats();
+  const TcpTransportStats ts = transport_->stats();
   std::string out;
   out += "node=" + std::to_string(options_.node);
   out += " mode=";
@@ -664,27 +631,11 @@ std::string NodeServer::StatsString() const {
   out += " tcp_frames_dropped=" + std::to_string(ts.frames_dropped);
   out += " tcp_malformed_frames=" + std::to_string(ts.malformed_frames);
   out += " tcp_accepts=" + std::to_string(ts.accepts);
-  // Gather-write metrics are transport + reactor-pool combined: with
-  // reactors on, client traffic flows through the pool while node
-  // dialing stays on the transport.
-  uint64_t writev_calls = ts.writev_calls;
-  uint64_t frames_coalesced = ts.frames_coalesced;
-  uint64_t rounds_busy = 0;
-  uint64_t rounds_idle = 0;
-  uint32_t reactors = 0;
-  if (reactors_ != nullptr) {
-    const ReactorPoolStats rs = reactors_->stats();
-    writev_calls += rs.writev_calls;
-    frames_coalesced += rs.frames_coalesced;
-    rounds_busy = rs.rounds_busy;
-    rounds_idle = rs.rounds_idle;
-    reactors = reactors_->reactors();
-  }
-  out += " tcp_writev_calls=" + std::to_string(writev_calls);
-  out += " tcp_frames_coalesced=" + std::to_string(frames_coalesced);
-  out += " reactors=" + std::to_string(reactors);
-  out += " reactor_rounds_busy=" + std::to_string(rounds_busy);
-  out += " reactor_rounds_idle=" + std::to_string(rounds_idle);
+  out += " tcp_writev_calls=" + std::to_string(ts.writev_calls);
+  out += " tcp_frames_coalesced=" + std::to_string(ts.frames_coalesced);
+  out += " reactors=" + std::to_string(options_.tcp.reactors);
+  out += " reactor_rounds_busy=" + std::to_string(ts.reactor_rounds_busy);
+  out += " reactor_rounds_idle=" + std::to_string(ts.reactor_rounds_idle);
   // Always emitted (zeros without --data-dir) so bench/checker parsing
   // never has to branch on durability mode.
   const WalStats ws = wal_ != nullptr ? wal_->stats() : WalStats{};

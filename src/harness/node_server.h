@@ -27,7 +27,6 @@
 #include "common/status.h"
 #include "common/types.h"
 #include "net/tcp/event_loop.h"
-#include "net/tcp/reactor_pool.h"
 #include "net/tcp/tcp_transport.h"
 #include "net/topology.h"
 #include "paxos/node_host.h"
@@ -55,6 +54,7 @@ struct NodeServerOptions {
   /// triggers self-election via auto_elect_on_submit).
   NodeId leader_hint = kInvalidNode;
   ReplicaConfig replica;  ///< decide_policy is forced to kAll (full SMR)
+  /// tcp.reactors sets the reactor threads serving accepted connections.
   TcpTransportOptions tcp;
   /// Pull state from peers shortly after start (snapshot-first).
   bool catchup_on_start = true;
@@ -68,13 +68,6 @@ struct NodeServerOptions {
   /// follower that lost frames during a partition stays wedged forever
   /// once the fault clears. 0 disables.
   Duration anti_entropy_interval = 1 * kSecond;
-  /// Reactor threads serving accepted connections (see
-  /// net/tcp/reactor_pool.h). 0 = single-threaded: every socket lives on
-  /// the replica's own loop, exactly the pre-multi-reactor behavior.
-  uint32_t reactors = 0;
-  /// Reply-batch hold time forwarded to the reactor pool (ignored when
-  /// reactors == 0); see ReactorPoolOptions::reply_flush_delay.
-  Duration reply_flush_delay = 0;
   /// WAL mode (real durability, storage/wal.h): non-empty = open an
   /// acceptor write-ahead log in this directory. Every promise/accept/
   /// fast-vote reply then waits for the group-commit fdatasync, and a
@@ -152,9 +145,6 @@ class NodeServer {
  private:
   void OnClientRequest(uint64_t conn, uint64_t client_id,
                        const ClientRequest& req);
-  /// Route a reply to whoever owns the connection: reactor tokens go to
-  /// the pool, plain ids to the transport.
-  void SendReply(uint64_t conn, const ClientReply& reply);
   /// Serve a read once the local applier reaches `slot` (the read
   /// barrier's commit position); polls the applier until `deadline`.
   void AnswerReadAtSlot(uint64_t conn, uint64_t request_id, std::string key,
@@ -212,9 +202,6 @@ class NodeServer {
   uint64_t steals_rejected_ = 0;
   uint64_t pingpongs_suppressed_ = 0;
   uint64_t rescues_started_ = 0;
-  /// Declared LAST: destroyed first, which joins the reactor threads
-  /// while the loop and transport they post to are still alive.
-  std::unique_ptr<ReactorPool> reactors_;
 };
 
 }  // namespace dpaxos

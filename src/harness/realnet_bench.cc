@@ -105,14 +105,7 @@ Result<RealnetModeResult> RunMode(const RealnetBenchOptions& options,
   copts.leader_hint = 0;
   copts.enable_compaction = true;
   copts.log_dir = options.log_dir;
-  if (options.reactors > 0) {
-    copts.extra_args.push_back("--reactors=" +
-                               std::to_string(options.reactors));
-  }
-  if (options.reply_flush_us > 0) {
-    copts.extra_args.push_back("--reply-flush-us=" +
-                               std::to_string(options.reply_flush_us));
-  }
+  copts.extra_args.push_back("--reactors=" + std::to_string(options.reactors));
   if (cell.fast_path) copts.extra_args.push_back("--fast-path");
   if (cell.durable) {
     copts.data_dir_base = cell.data_dir_base;
@@ -300,10 +293,7 @@ Result<RealnetMobilityResult> RunMobilityCell(
   copts.log_dir = options.log_dir;
   copts.listen_endpoints = real_endpoints;
   copts.peer_view = proxy.endpoints();
-  if (options.reactors > 0) {
-    copts.extra_args.push_back("--reactors=" +
-                               std::to_string(options.reactors));
-  }
+  copts.extra_args.push_back("--reactors=" + std::to_string(options.reactors));
   if (adaptive) {
     copts.extra_args.push_back("--ownership");
     copts.extra_args.push_back("--placement-sweep-ms=300");

@@ -2,7 +2,6 @@
 
 #include <sys/epoll.h>
 #include <sys/socket.h>
-#include <sys/uio.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -15,8 +14,6 @@ namespace dpaxos {
 
 namespace {
 
-// Same gather-write batch limits as TcpTransport::FlushConn.
-constexpr size_t kMaxIovPerWrite = 64;
 constexpr auto kRelaxed = std::memory_order_relaxed;
 
 }  // namespace
@@ -38,9 +35,7 @@ void ReactorPool::Start() {
   pending_replies_.assign(options_.reactors, {});
   shards_.reserve(options_.reactors);
   for (uint32_t i = 0; i < options_.reactors; ++i) {
-    auto shard = std::make_unique<Shard>(options_.seed + 0x9e3779b9u * (i + 1));
-    shard->index = i;
-    shards_.push_back(std::move(shard));
+    shards_.push_back(std::make_unique<Shard>(i));
   }
   for (auto& shard : shards_) {
     Shard* raw = shard.get();
@@ -80,7 +75,6 @@ void ReactorPool::ReactorMain(Shard* shard) {
 
 ReactorPoolStats ReactorPool::stats() const {
   ReactorPoolStats s;
-  s.conns_adopted = conns_adopted_.load(kRelaxed);
   s.bytes_in = bytes_in_.load(kRelaxed);
   s.bytes_out = bytes_out_.load(kRelaxed);
   s.frames_in = frames_in_.load(kRelaxed);
@@ -100,7 +94,6 @@ void ReactorPool::Adopt(int fd) {
   }
   Shard* shard = shards_[next_shard_ % shards_.size()].get();
   ++next_shard_;
-  conns_adopted_.fetch_add(1, kRelaxed);
   shard->loop.PostTask([this, shard, fd]() { AdoptOnReactor(shard, fd); });
 }
 
@@ -149,8 +142,7 @@ void ReactorPool::ReadReady(Shard* shard, RConn* conn) {
         const FrameDecoder::Next next = conn->decoder.Pop(&body);
         if (next == FrameDecoder::Next::kNeedMore) break;
         if (next == FrameDecoder::Next::kError) {
-          malformed_frames_.fetch_add(1, kRelaxed);
-          CloseConn(shard, conn_id);
+          Reject(shard, conn, conn->decoder.error().c_str());
           DispatchBatch(std::move(batch));
           return;
         }
@@ -177,8 +169,7 @@ bool ReactorPool::ConsumeFrame(Shard* shard, RConn* conn,
     Result<Hello> hello = ParseHello(body);
     if (!hello.ok() ||
         (hello->kind == PeerKind::kNode && hello->id >= options_.num_nodes)) {
-      malformed_frames_.fetch_add(1, kRelaxed);
-      CloseConn(shard, conn->id);
+      Reject(shard, conn, "expected valid HELLO first");
       return false;
     }
     conn->hello_done = true;
@@ -190,16 +181,14 @@ bool ReactorPool::ConsumeFrame(Shard* shard, RConn* conn,
   switch (type) {
     case FrameType::kNodeMessage: {
       if (conn->kind != PeerKind::kNode) {
-        malformed_frames_.fetch_add(1, kRelaxed);
-        CloseConn(shard, conn->id);
+        Reject(shard, conn, "node message on client connection");
         return false;
       }
       // Wire decode on the reactor thread (pure function) so the home
       // loop only runs protocol logic on the already-built message.
       MessagePtr msg = decode_(body.substr(1));
       if (msg == nullptr) {
-        malformed_frames_.fetch_add(1, kRelaxed);
-        CloseConn(shard, conn->id);
+        Reject(shard, conn, "undecodable node message");
         return false;
       }
       InboundItem item;
@@ -211,14 +200,12 @@ bool ReactorPool::ConsumeFrame(Shard* shard, RConn* conn,
     }
     case FrameType::kClientRequest: {
       if (conn->kind != PeerKind::kClient) {
-        malformed_frames_.fetch_add(1, kRelaxed);
-        CloseConn(shard, conn->id);
+        Reject(shard, conn, "client request on node connection");
         return false;
       }
       Result<ClientRequest> req = ParseClientRequest(body);
       if (!req.ok()) {
-        malformed_frames_.fetch_add(1, kRelaxed);
-        CloseConn(shard, conn->id);
+        Reject(shard, conn, "malformed client request");
         return false;
       }
       InboundItem item;
@@ -229,10 +216,16 @@ bool ReactorPool::ConsumeFrame(Shard* shard, RConn* conn,
       return true;
     }
     default:
-      malformed_frames_.fetch_add(1, kRelaxed);
-      CloseConn(shard, conn->id);
+      Reject(shard, conn, "unexpected frame type");
       return false;
   }
+}
+
+void ReactorPool::Reject(Shard* shard, RConn* conn, const char* why) {
+  malformed_frames_.fetch_add(1, kRelaxed);
+  DPAXOS_WARN("tcp: reactor " << shard->index << " closing conn " << conn->id
+                              << ": " << why);
+  CloseConn(shard, conn->id);
 }
 
 void ReactorPool::DispatchBatch(std::vector<InboundItem> batch) {
@@ -262,16 +255,14 @@ void ReactorPool::SendClientReply(uint64_t conn_token,
 }
 
 void ReactorPool::ScheduleReplyFlush() {
-  if (reply_flush_scheduled_) return;
-  reply_flush_scheduled_ = true;
-  // Default 0-delay: fires at the end of the current home dispatch round,
-  // so all replies produced in the round cross to each reactor as ONE
-  // task. A tunable delay holds the batch open across rounds, trading
-  // reply latency for wider writev coalescing (options_.reply_flush_delay).
+  if (replies_flush_scheduled_) return;
+  replies_flush_scheduled_ = true;
+  // 0-delay: fires at the end of the current home dispatch round, so all
+  // replies produced in the round cross to each reactor as ONE task.
   std::shared_ptr<bool> alive = alive_;
-  home_->Schedule(options_.reply_flush_delay, [this, alive]() {
+  home_->Schedule(0, [this, alive]() {
     if (!*alive) return;
-    reply_flush_scheduled_ = false;
+    replies_flush_scheduled_ = false;
     for (size_t i = 0; i < pending_replies_.size(); ++i) {
       if (pending_replies_[i].empty()) continue;
       auto items = std::move(pending_replies_[i]);
@@ -283,16 +274,14 @@ void ReactorPool::ScheduleReplyFlush() {
         for (auto& [conn_id, frame] : items) {
           auto it = shard->conns.find(conn_id);
           if (it == shard->conns.end()) continue;  // client went away
-          RConn* conn = it->second.get();
-          conn->outq_bytes += frame.size();
-          conn->outq.push_back(std::move(frame));
+          it->second->out.Push(std::move(frame));
           frames_out_.fetch_add(1, kRelaxed);
         }
         for (auto& [conn_id, frame] : items) {
           (void)frame;
           auto it = shard->conns.find(conn_id);
           if (it == shard->conns.end()) continue;
-          if (!it->second->outq.empty()) FlushConn(shard, it->second.get());
+          if (!it->second->out.empty()) FlushConn(shard, it->second.get());
         }
       });
     }
@@ -300,57 +289,19 @@ void ReactorPool::ScheduleReplyFlush() {
 }
 
 void ReactorPool::FlushConn(Shard* shard, RConn* conn) {
-  for (;;) {
-    if (conn->outq.empty()) break;
-    iovec iov[kMaxIovPerWrite];
-    size_t niov = 0;
-    for (const std::string& frame : conn->outq) {
-      if (niov == kMaxIovPerWrite) break;
-      const size_t skip = niov == 0 ? conn->outpos : 0;
-      iov[niov].iov_base = const_cast<char*>(frame.data()) + skip;
-      iov[niov].iov_len = frame.size() - skip;
-      ++niov;
-    }
-    msghdr mh{};
-    mh.msg_iov = iov;
-    mh.msg_iovlen = niov;
-    const ssize_t n = sendmsg(conn->fd, &mh, MSG_NOSIGNAL);
-    if (n > 0) {
-      writev_calls_.fetch_add(1, kRelaxed);
-      bytes_out_.fetch_add(static_cast<uint64_t>(n), kRelaxed);
-      size_t remaining = static_cast<size_t>(n);
-      size_t covered = 0;
-      while (remaining > 0) {
-        std::string& front = conn->outq.front();
-        const size_t left = front.size() - conn->outpos;
-        ++covered;
-        if (remaining >= left) {
-          remaining -= left;
-          conn->outq_bytes -= front.size();
-          conn->outpos = 0;
-          conn->outq.pop_front();
-        } else {
-          conn->outpos += remaining;
-          remaining = 0;
-        }
-      }
-      if (covered > 1) frames_coalesced_.fetch_add(covered - 1, kRelaxed);
-      continue;
-    }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      if (!conn->want_write) {
-        conn->want_write = true;
-        shard->loop.UpdateFd(conn->fd, EPOLLIN | EPOLLOUT);
-      }
-      return;
-    }
-    if (n < 0 && errno == EINTR) continue;
+  GatherWriteStats ws;
+  const GatherWriteResult result = GatherWrite(conn->fd, &conn->out, &ws);
+  writev_calls_.fetch_add(ws.syscalls, kRelaxed);
+  bytes_out_.fetch_add(ws.bytes, kRelaxed);
+  frames_coalesced_.fetch_add(ws.frames_coalesced, kRelaxed);
+  if (result == GatherWriteResult::kFailed) {
     CloseConn(shard, conn->id);
     return;
   }
-  if (conn->want_write) {
-    conn->want_write = false;
-    shard->loop.UpdateFd(conn->fd, EPOLLIN);
+  const bool want_write = result == GatherWriteResult::kBlocked;
+  if (want_write != conn->want_write) {
+    conn->want_write = want_write;
+    shard->loop.UpdateFd(conn->fd, EPOLLIN | (want_write ? EPOLLOUT : 0u));
   }
 }
 

@@ -1,9 +1,10 @@
-// Multi-reactor connection service for NodeServer.
+// Connection service for TcpTransport: every accepted connection, peer
+// node or client, is served here.
 //
 // N reactor threads, each running its own EventLoop, own the sockets the
-// acceptor hands off (round-robin): they read, frame-decode and
-// wire-decode inbound traffic and write replies with the same gather
-// (sendmsg) coalescing as TcpTransport. Protocol work stays serialized:
+// transport's acceptor hands off (round-robin): they read, frame-decode
+// and wire-decode inbound traffic and write replies with the shared
+// gather write (net/tcp/socket_util.h). Protocol work stays serialized:
 // every decoded node message and client request is posted to the
 // replica's HOME loop (EventLoop::PostTask — lock-free MPSC), so Replica
 // and the state machine remain single-threaded. One readable event's
@@ -11,11 +12,17 @@
 // thread handoff the same way the sim's DeliveryBatch pooling amortizes
 // dispatch.
 //
-// Identity: connections served here get tokens with the reactor index in
-// the top 16 bits (((reactor+1) << 48) | conn_id), disjoint from
-// TcpTransport's conn ids — NodeServer routes SendClientReply on that
-// tag. Replies are batched on the home side too: a 0-delay timer folds
-// all replies of a home dispatch round into one PostTask per reactor.
+// Identity: connections get tokens with the reactor index in the top 16
+// bits (((reactor+1) << 48) | conn_id), so SendClientReply finds the
+// owning reactor. Replies are batched on the home side too: a 0-delay
+// timer folds all replies of a home dispatch round into one PostTask per
+// reactor.
+//
+// Defensive decoding: oversized or zero-length frames, undecodable node
+// messages and protocol-order violations (no HELLO first, a node message
+// on a client connection, a client request on a node connection) close
+// the offending connection, count one malformed frame and log a warning
+// — never crash, never block other connections.
 //
 // Threading contract: Start/Stop/Adopt/SendClientReply and the two
 // handlers run on the home thread; everything socket-side runs on the
@@ -25,7 +32,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <string>
@@ -36,6 +42,7 @@
 #include "common/types.h"
 #include "net/tcp/event_loop.h"
 #include "net/tcp/framing.h"
+#include "net/tcp/socket_util.h"
 #include "net/transport.h"
 
 namespace dpaxos {
@@ -43,22 +50,12 @@ namespace dpaxos {
 struct ReactorPoolOptions {
   uint32_t reactors = 1;
   uint32_t max_frame_bytes = kDefaultMaxFrameBytes;
-  /// Cluster size, for validating node HELLO ids (0 rejects all node
-  /// peers — client-only pools).
+  /// Cluster size, for validating node HELLO ids.
   size_t num_nodes = 0;
-  uint64_t seed = 1;
-  /// Extra hold time before the staged replies cross to the reactors.
-  /// 0 flushes at the end of the current home dispatch round (lowest
-  /// latency, but under closed-loop load each round often carries a
-  /// single reply, so writev coalescing gets nothing to merge). A small
-  /// delay (tens of microseconds) widens the coalescing window across
-  /// rounds at that much added reply latency; see docs/perf.md.
-  Duration reply_flush_delay = 0;
 };
 
 /// Aggregated pool counters (one snapshot across all reactors).
 struct ReactorPoolStats {
-  uint64_t conns_adopted = 0;
   uint64_t bytes_in = 0;
   uint64_t bytes_out = 0;
   uint64_t frames_in = 0;
@@ -111,7 +108,6 @@ class ReactorPool {
   /// handler). No-op if the connection is gone. Home thread.
   void SendClientReply(uint64_t conn_token, const ClientReply& reply);
 
-  uint32_t reactors() const { return static_cast<uint32_t>(shards_.size()); }
   ReactorPoolStats stats() const;
 
  private:
@@ -122,19 +118,17 @@ class ReactorPool {
     PeerKind kind = PeerKind::kNode;
     uint64_t peer_id = 0;
     FrameDecoder decoder;
-    std::deque<std::string> outq;  ///< staged frames (gather-written)
-    size_t outpos = 0;             ///< written bytes of the front frame
-    size_t outq_bytes = 0;
+    OutQueue out;
     bool want_write = false;
   };
 
   /// One reactor: loop + thread + the conns pinned to it. The conns map
   /// is touched ONLY by the reactor thread (and by Stop after join).
   struct Shard {
-    explicit Shard(uint64_t seed) : loop(seed) {}
+    explicit Shard(uint32_t i) : loop(i + 1), index(i) {}
     EventLoop loop;
     std::thread thread;
-    uint32_t index = 0;
+    uint32_t index;
     uint64_t next_conn_id = 1;
     std::unordered_map<uint64_t, std::unique_ptr<RConn>> conns;
   };
@@ -156,6 +150,8 @@ class ReactorPool {
   /// Returns false when the frame poisoned the connection.
   bool ConsumeFrame(Shard* shard, RConn* conn, std::string_view body,
                     std::vector<InboundItem>* batch);
+  /// Close a connection for malformed input: count, warn, close.
+  void Reject(Shard* shard, RConn* conn, const char* why);
   void DispatchBatch(std::vector<InboundItem> batch);
   void FlushConn(Shard* shard, RConn* conn);
   void CloseConn(Shard* shard, uint64_t conn_id);
@@ -170,12 +166,11 @@ class ReactorPool {
   uint32_t next_shard_ = 0;  ///< round-robin cursor (home thread)
   /// Replies staged per reactor between home flush rounds (home thread).
   std::vector<std::vector<std::pair<uint64_t, std::string>>> pending_replies_;
-  bool reply_flush_scheduled_ = false;
+  bool replies_flush_scheduled_ = false;
   std::atomic<bool> stop_{true};
   bool started_ = false;
 
   // Pool counters (relaxed; summed into ReactorPoolStats snapshots).
-  std::atomic<uint64_t> conns_adopted_{0};
   std::atomic<uint64_t> bytes_in_{0};
   std::atomic<uint64_t> bytes_out_{0};
   std::atomic<uint64_t> frames_in_{0};
@@ -189,15 +184,13 @@ class ReactorPool {
   std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
 };
 
-/// Token layout: reactor index + 1 in the top 16 bits. TcpTransport conn
-/// ids never reach that range, so NodeServer can route replies by tag.
+/// Token layout: reactor index + 1 in the top 16 bits, conn id below.
 inline uint64_t ReactorConnToken(uint32_t reactor_index, uint64_t conn_id) {
   return (static_cast<uint64_t>(reactor_index + 1) << 48) | conn_id;
 }
 inline uint32_t ReactorIndexOfToken(uint64_t token) {
   return static_cast<uint32_t>(token >> 48) - 1;
 }
-inline bool IsReactorConnToken(uint64_t token) { return (token >> 48) != 0; }
 
 }  // namespace dpaxos
 

@@ -5,6 +5,7 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -170,6 +171,51 @@ Result<std::vector<uint16_t>> PickFreeLoopbackPorts(size_t n) {
   for (int fd : fds) close(fd);
   if (!st.ok()) return st;
   return ports;
+}
+
+GatherWriteResult GatherWrite(int fd, OutQueue* queue,
+                              GatherWriteStats* stats) {
+  constexpr size_t kMaxIovPerWrite = 64;
+  while (!queue->empty()) {
+    iovec iov[kMaxIovPerWrite];
+    size_t niov = 0;
+    for (const std::string& frame : queue->frames) {
+      if (niov == kMaxIovPerWrite) break;
+      const size_t skip = niov == 0 ? queue->front_written : 0;
+      iov[niov].iov_base = const_cast<char*>(frame.data()) + skip;
+      iov[niov].iov_len = frame.size() - skip;
+      ++niov;
+    }
+    msghdr mh{};
+    mh.msg_iov = iov;
+    mh.msg_iovlen = niov;
+    // sendmsg, not writev: the flags argument carries MSG_NOSIGNAL.
+    const ssize_t n = sendmsg(fd, &mh, MSG_NOSIGNAL);
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+      return GatherWriteResult::kBlocked;
+    }
+    if (n <= 0) return GatherWriteResult::kFailed;
+    ++stats->syscalls;
+    stats->bytes += static_cast<uint64_t>(n);
+    size_t remaining = static_cast<size_t>(n);
+    size_t covered = 0;  // frames this syscall touched
+    while (remaining > 0) {
+      const std::string& front = queue->frames.front();
+      const size_t left = front.size() - queue->front_written;
+      ++covered;
+      if (remaining < left) {
+        queue->front_written += remaining;
+        break;
+      }
+      remaining -= left;
+      queue->bytes -= front.size();
+      queue->front_written = 0;
+      queue->frames.pop_front();
+    }
+    stats->frames_coalesced += covered - 1;
+  }
+  return GatherWriteResult::kDrained;
 }
 
 }  // namespace dpaxos

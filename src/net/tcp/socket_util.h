@@ -1,12 +1,14 @@
-// Small POSIX socket helpers shared by the TCP transport, the blocking
-// client and the process harness. Everything returns Status/Result —
-// no exceptions, no errno leaks past these functions.
+// Small POSIX socket helpers shared by the TCP transport, the reactor
+// pool, the clients and the process harness. Everything returns
+// Status/Result — no exceptions, no errno leaks past these functions.
 #ifndef DPAXOS_NET_TCP_SOCKET_UTIL_H_
 #define DPAXOS_NET_TCP_SOCKET_UTIL_H_
 
 #include <cstdint>
+#include <deque>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -48,6 +50,41 @@ Result<int> StartConnect(const HostPort& addr);
 /// (another process could grab a port before it is reused) but reliable
 /// enough for single-host test harnesses.
 Result<std::vector<uint16_t>> PickFreeLoopbackPorts(size_t n);
+
+/// Frames staged for one socket, written front to back.
+struct OutQueue {
+  std::deque<std::string> frames;
+  size_t front_written = 0;  ///< bytes of frames.front() already sent
+  size_t bytes = 0;          ///< staged total, the partial front included
+
+  bool empty() const { return frames.empty(); }
+  void Push(std::string frame) {
+    bytes += frame.size();
+    frames.push_back(std::move(frame));
+  }
+  void Clear() { *this = OutQueue(); }
+};
+
+/// What one GatherWrite call moved; each caller folds it into its own
+/// counters.
+struct GatherWriteStats {
+  uint64_t syscalls = 0;
+  uint64_t bytes = 0;
+  uint64_t frames_coalesced = 0;  ///< frames that shared a syscall (batch-1)
+};
+
+enum class GatherWriteResult {
+  kDrained,  ///< the queue is empty
+  kBlocked,  ///< the socket is full: wait for EPOLLOUT and call again
+  kFailed,   ///< hard error: the connection is dead
+};
+
+/// Write `queue` to the nonblocking socket `fd`, up to 64 frames per
+/// sendmsg(MSG_NOSIGNAL), until it drains or the socket stops taking
+/// bytes. A partial write resumes mid-frame on the next call, and
+/// frames leave strictly in push order, so coalescing never reorders.
+GatherWriteResult GatherWrite(int fd, OutQueue* queue,
+                              GatherWriteStats* stats);
 
 }  // namespace dpaxos
 

@@ -2,10 +2,7 @@
 
 #include <sys/epoll.h>
 #include <sys/socket.h>
-#include <sys/uio.h>
 #include <unistd.h>
-
-#include <algorithm>
 
 #include <cerrno>
 #include <utility>
@@ -18,10 +15,8 @@ namespace dpaxos {
 
 namespace {
 
-/// Gather-write batch limits: at most this many frames per sendmsg, and
-/// refill from the peer queue stops once this many bytes are staged (one
+/// Refill from the peer queue stops once this many bytes are staged (one
 /// flush cannot buffer an unbounded burst in user space).
-constexpr size_t kMaxIovPerWrite = 64;
 constexpr size_t kFlushSliceBytes = 64 * 1024;
 
 }  // namespace
@@ -35,9 +30,11 @@ TcpTransport::TcpTransport(EventLoop* loop, NodeId self,
       options_(options),
       peers_(cluster_.size()) {
   DPAXOS_CHECK(self_ < cluster_.size());
+  DPAXOS_CHECK(options_.reactors >= 1);
 }
 
 TcpTransport::~TcpTransport() {
+  pool_.reset();  // joins the reactors before anything they post to goes
   *alive_ = false;
   for (PeerState& peer : peers_) {
     if (peer.reconnect_timer != 0) loop_->Cancel(peer.reconnect_timer);
@@ -61,6 +58,23 @@ Status TcpTransport::Listen() {
   if (!port.ok()) return port.status();
   listen_port_ = port.value();
   cluster_[self_].port = listen_port_;
+
+  DPAXOS_CHECK_MSG(decode_ != nullptr, "wire codec not installed");
+  ReactorPoolOptions rp;
+  rp.reactors = options_.reactors;
+  rp.max_frame_bytes = options_.max_frame_bytes;
+  rp.num_nodes = cluster_.size();
+  pool_ = std::make_unique<ReactorPool>(loop_, rp);
+  pool_->set_wire_decoder(decode_);
+  pool_->set_node_message_handler([this](NodeId from, MessagePtr msg) {
+    ++ThreadPerfCounters().messages_delivered;
+    if (handler_) handler_(from, msg);
+  });
+  pool_->set_client_request_handler(
+      [this](uint64_t conn, uint64_t client_id, const ClientRequest& req) {
+        if (client_handler_) client_handler_(conn, client_id, req);
+      });
+  pool_->Start();
   return loop_->WatchFd(listen_fd_, EPOLLIN,
                         [this](uint32_t) { AcceptReady(); });
 }
@@ -106,19 +120,24 @@ void TcpTransport::Send(NodeId from, NodeId to, MessagePtr msg) {
   if (conn != nullptr && conn->established) ScheduleFlush(conn);
 }
 
-void TcpTransport::SendClientReply(uint64_t conn_id,
-                                   const ClientReply& reply) {
-  Conn* conn = FindConn(conn_id);
-  if (conn == nullptr || !conn->inbound || conn->kind != PeerKind::kClient) {
-    return;  // client went away; nothing to do
-  }
-  StageFrame(conn, EncodeClientReplyFrame(reply));
-  ScheduleFlush(conn);
+void TcpTransport::SendClientReply(uint64_t conn, const ClientReply& reply) {
+  if (pool_ != nullptr) pool_->SendClientReply(conn, reply);
 }
 
-void TcpTransport::InjectDelivery(NodeId from, const MessagePtr& msg) {
-  ++ThreadPerfCounters().messages_delivered;
-  if (handler_) handler_(from, msg);
+TcpTransportStats TcpTransport::stats() const {
+  TcpTransportStats s = stats_;
+  if (pool_ == nullptr) return s;
+  const ReactorPoolStats ps = pool_->stats();
+  s.bytes_in += ps.bytes_in;
+  s.bytes_out += ps.bytes_out;
+  s.frames_in += ps.frames_in;
+  s.frames_out += ps.frames_out;
+  s.malformed_frames += ps.malformed_frames;
+  s.writev_calls += ps.writev_calls;
+  s.frames_coalesced += ps.frames_coalesced;
+  s.reactor_rounds_busy = ps.rounds_busy;
+  s.reactor_rounds_idle = ps.rounds_idle;
+  return s;
 }
 
 void TcpTransport::UpdatePeerAddress(NodeId node, HostPort addr) {
@@ -150,25 +169,9 @@ void TcpTransport::AcceptReady() {
       return;
     }
     SetNoDelay(fd);
-    if (accept_handoff_) {
-      ++stats_.accepts;
-      ++ThreadPerfCounters().tcp_accepts;
-      accept_handoff_(fd);
-      continue;
-    }
-    auto conn = std::make_unique<Conn>();
-    conn->id = next_conn_id_++;
-    conn->fd = fd;
-    conn->inbound = true;
-    conn->established = true;
-    conn->decoder = FrameDecoder(options_.max_frame_bytes);
-    const uint64_t id = conn->id;
-    conns_[id] = std::move(conn);
     ++stats_.accepts;
     ++ThreadPerfCounters().tcp_accepts;
-    Status st = loop_->WatchFd(
-        fd, EPOLLIN, [this, id](uint32_t events) { ConnEvent(id, events); });
-    if (!st.ok()) CloseConn(id);
+    pool_->Adopt(fd);
   }
 }
 
@@ -184,10 +187,7 @@ void TcpTransport::EnsureConnected(NodeId to) {
   auto conn = std::make_unique<Conn>();
   conn->id = next_conn_id_++;
   conn->fd = fd.value();
-  conn->inbound = false;
-  conn->hello_done = true;  // outbound: the peer never sends us a HELLO
   conn->peer_node = to;
-  conn->decoder = FrameDecoder(options_.max_frame_bytes);
   // EPOLLOUT is armed below to learn when the connect completes;
   // want_write mirrors that so the first idle flush disarms it (a
   // level-triggered EPOLLOUT on a writable socket never sleeps).
@@ -243,8 +243,7 @@ void TcpTransport::OnOutboundUp(Conn* conn) {
 }
 
 void TcpTransport::StageFrame(Conn* conn, std::string frame) {
-  conn->outq_bytes += frame.size();
-  conn->outq.push_back(std::move(frame));
+  conn->out.Push(std::move(frame));
   ++stats_.frames_out;
   ++ThreadPerfCounters().tcp_frames_out;
 }
@@ -254,7 +253,9 @@ void TcpTransport::ScheduleFlush(Conn* conn) {
   conn->flush_scheduled = true;
   std::shared_ptr<bool> alive = alive_;
   const uint64_t conn_id = conn->id;
-  loop_->Schedule(options_.flush_delay, [this, alive, conn_id]() {
+  // 0-delay: fires at the END of the current poll round, so every frame
+  // queued while dispatching one epoll batch shares a single gather write.
+  loop_->Schedule(0, [this, alive, conn_id]() {
     if (!*alive) return;
     Conn* c = FindConn(conn_id);
     if (c == nullptr) return;
@@ -290,88 +291,18 @@ void TcpTransport::ConnEvent(uint64_t conn_id, uint32_t events) {
 }
 
 void TcpTransport::ReadReady(Conn* conn) {
-  const uint64_t conn_id = conn->id;
-  char buf[65536];
-  for (;;) {
-    const ssize_t n = recv(conn->fd, buf, sizeof(buf), 0);
-    if (n > 0) {
-      stats_.bytes_in += static_cast<uint64_t>(n);
-      ThreadPerfCounters().tcp_bytes_in += static_cast<uint64_t>(n);
-      conn->decoder.Feed(std::string_view(buf, static_cast<size_t>(n)));
-      std::string_view body;
-      for (;;) {
-        const FrameDecoder::Next next = conn->decoder.Pop(&body);
-        if (next == FrameDecoder::Next::kNeedMore) break;
-        if (next == FrameDecoder::Next::kError) {
-          MarkMalformed(conn, conn->decoder.error().c_str());
-          return;
-        }
-        if (!ConsumeFrame(conn, body)) return;  // conn closed
-        if (FindConn(conn_id) == nullptr) return;
-      }
-      continue;  // keep draining until EAGAIN
-    }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
-    if (n < 0 && errno == EINTR) continue;
-    OnConnError(conn_id);  // EOF or hard error
+  // Dialed connections are write-only: the peer never answers on them,
+  // so readability means EOF, an error, or a protocol violation.
+  char buf[512];
+  const ssize_t n = recv(conn->fd, buf, sizeof(buf), 0);
+  if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR)) {
     return;
   }
-}
-
-bool TcpTransport::ConsumeFrame(Conn* conn, std::string_view body) {
-  ++stats_.frames_in;
-  ++ThreadPerfCounters().tcp_frames_in;
-  const FrameType type = static_cast<FrameType>(body[0]);
-  if (conn->inbound && !conn->hello_done) {
-    Result<Hello> hello = ParseHello(body);
-    if (!hello.ok() ||
-        (hello->kind == PeerKind::kNode && hello->id >= cluster_.size())) {
-      MarkMalformed(conn, "expected valid HELLO first");
-      return false;
-    }
-    conn->hello_done = true;
-    conn->kind = hello->kind;
-    conn->peer_id = hello->id;
-    return true;
+  if (n > 0) {
+    MarkMalformed(conn, "bytes received on a dialed connection");
+    return;
   }
-  switch (type) {
-    case FrameType::kNodeMessage: {
-      if (conn->inbound && conn->kind != PeerKind::kNode) {
-        MarkMalformed(conn, "node message on client connection");
-        return false;
-      }
-      DPAXOS_CHECK_MSG(decode_ != nullptr, "wire codec not installed");
-      MessagePtr msg = decode_(body.substr(1));
-      if (msg == nullptr) {
-        MarkMalformed(conn, "undecodable node message");
-        return false;
-      }
-      const NodeId sender = conn->inbound
-                                ? static_cast<NodeId>(conn->peer_id)
-                                : conn->peer_node;
-      ++ThreadPerfCounters().messages_delivered;
-      if (handler_) handler_(sender, msg);
-      return true;
-    }
-    case FrameType::kClientRequest: {
-      if (!conn->inbound || conn->kind != PeerKind::kClient) {
-        MarkMalformed(conn, "client request on node connection");
-        return false;
-      }
-      Result<ClientRequest> req = ParseClientRequest(body);
-      if (!req.ok()) {
-        MarkMalformed(conn, "malformed client request");
-        return false;
-      }
-      if (client_handler_) {
-        client_handler_(conn->id, conn->peer_id, req.value());
-      }
-      return true;
-    }
-    default:
-      MarkMalformed(conn, "unexpected frame type");
-      return false;
-  }
+  OnConnError(conn->id);
 }
 
 void TcpTransport::MarkMalformed(Conn* conn, const char* why) {
@@ -383,106 +314,48 @@ void TcpTransport::MarkMalformed(Conn* conn, const char* why) {
 
 void TcpTransport::FlushConn(Conn* conn) {
   if (!conn->established) return;
-  PeerState* peer = (!conn->inbound && conn->kind == PeerKind::kNode)
-                        ? &peers_[conn->peer_node]
-                        : nullptr;
+  PeerState& peer = peers_[conn->peer_node];
   PerfCounters& pc = ThreadPerfCounters();
-  for (;;) {
-    if (peer != nullptr) {
-      // Refill in bounded slices so one flush cannot buffer an unbounded
-      // burst in user space.
-      while (!peer->queue.empty() && conn->outq_bytes < kFlushSliceBytes) {
-        std::string frame = std::move(peer->queue.front());
-        peer->queue.pop_front();
-        StageFrame(conn, std::move(frame));
-      }
+  GatherWriteResult result;
+  do {
+    while (!peer.queue.empty() && conn->out.bytes < kFlushSliceBytes) {
+      std::string frame = std::move(peer.queue.front());
+      peer.queue.pop_front();
+      StageFrame(conn, std::move(frame));
     }
-    if (conn->outq.empty()) break;
-    // One gather write covers up to kMaxIovPerWrite staged frames; the
-    // front iovec resumes at outpos after a previous partial write.
-    // Frames leave the deque strictly front-to-back, so coalescing can
-    // never reorder what Send queued (transport_test asserts this).
-    iovec iov[kMaxIovPerWrite];
-    size_t niov = 0;
-    for (const std::string& frame : conn->outq) {
-      if (niov == kMaxIovPerWrite) break;
-      const size_t skip = niov == 0 ? conn->outpos : 0;
-      iov[niov].iov_base = const_cast<char*>(frame.data()) + skip;
-      iov[niov].iov_len = frame.size() - skip;
-      ++niov;
-    }
-    msghdr mh{};
-    mh.msg_iov = iov;
-    mh.msg_iovlen = niov;
-    // sendmsg, not writev: the flags argument carries MSG_NOSIGNAL.
-    const ssize_t n = sendmsg(conn->fd, &mh, MSG_NOSIGNAL);
-    if (n > 0) {
-      ++stats_.writev_calls;
-      ++pc.tcp_writev_calls;
-      stats_.bytes_out += static_cast<uint64_t>(n);
-      pc.tcp_bytes_out += static_cast<uint64_t>(n);
-      size_t remaining = static_cast<size_t>(n);
-      size_t covered = 0;  // frames this syscall touched
-      while (remaining > 0) {
-        std::string& front = conn->outq.front();
-        const size_t left = front.size() - conn->outpos;
-        ++covered;
-        if (remaining >= left) {
-          remaining -= left;
-          conn->outq_bytes -= front.size();
-          conn->outpos = 0;
-          conn->outq.pop_front();
-        } else {
-          conn->outpos += remaining;
-          remaining = 0;
-        }
-      }
-      if (covered > 1) {
-        stats_.frames_coalesced += covered - 1;
-        pc.tcp_frames_coalesced += covered - 1;
-      }
-      continue;
-    }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      if (!conn->want_write) {
-        conn->want_write = true;
-        UpdateWriteInterest(conn);
-      }
-      return;
-    }
-    if (n < 0 && errno == EINTR) continue;
+    GatherWriteStats ws;
+    result = GatherWrite(conn->fd, &conn->out, &ws);
+    stats_.writev_calls += ws.syscalls;
+    pc.tcp_writev_calls += ws.syscalls;
+    stats_.bytes_out += ws.bytes;
+    pc.tcp_bytes_out += ws.bytes;
+    stats_.frames_coalesced += ws.frames_coalesced;
+    pc.tcp_frames_coalesced += ws.frames_coalesced;
+  } while (result == GatherWriteResult::kDrained && !peer.queue.empty());
+  if (result == GatherWriteResult::kFailed) {
     OnConnError(conn->id);
     return;
   }
-  if (conn->want_write) {
-    conn->want_write = false;
-    UpdateWriteInterest(conn);
+  const bool want_write = result == GatherWriteResult::kBlocked;
+  if (want_write != conn->want_write) {
+    conn->want_write = want_write;
+    loop_->UpdateFd(conn->fd, EPOLLIN | (want_write ? EPOLLOUT : 0u));
   }
-}
-
-void TcpTransport::UpdateWriteInterest(Conn* conn) {
-  loop_->UpdateFd(conn->fd,
-                  EPOLLIN | (conn->want_write ? EPOLLOUT : 0u));
 }
 
 void TcpTransport::OnConnError(uint64_t conn_id) {
   Conn* conn = FindConn(conn_id);
   if (conn == nullptr) return;
-  const bool outbound_node = !conn->inbound && conn->kind == PeerKind::kNode;
   const NodeId peer_node = conn->peer_node;
   // Anything staged at or below the socket dies with it — within the
   // Send contract (may drop).
-  if (!conn->outq.empty()) {
-    stats_.frames_dropped += conn->outq.size();
-    ThreadPerfCounters().tcp_frames_dropped += conn->outq.size();
-  }
+  stats_.frames_dropped += conn->out.frames.size();
+  ThreadPerfCounters().tcp_frames_dropped += conn->out.frames.size();
   CloseConn(conn_id);
-  if (outbound_node) {
-    PeerState& peer = peers_[peer_node];
-    peer.conn_id = 0;
-    ++peer.attempts;
-    ScheduleReconnect(peer_node);
-  }
+  PeerState& peer = peers_[peer_node];
+  peer.conn_id = 0;
+  ++peer.attempts;
+  ScheduleReconnect(peer_node);
 }
 
 void TcpTransport::CloseConn(uint64_t conn_id) {

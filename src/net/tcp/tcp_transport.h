@@ -2,7 +2,11 @@
 //
 // One listening socket per node accepts both peer-node and external
 // client connections; the first frame on every connection is a HELLO
-// declaring which (see net/tcp/framing.h). For node traffic each node
+// declaring which (see net/tcp/framing.h). Listen() starts a
+// ReactorPool the transport owns, and every accepted connection is
+// served there (net/tcp/reactor_pool.h): the replica loop runs the
+// acceptor, the dialed sockets and the protocol, the reactor threads the
+// inbound reads and the client replies. For node traffic each node
 // WRITES only on connections it dialed itself and treats accepted node
 // connections as receive-only, so a pair of nodes exchanging messages
 // holds two sockets — no simultaneous-open coordination, no connection
@@ -20,9 +24,9 @@
 //
 // Defensive decoding: frames above the max-size cap, zero-length frames,
 // undecodable node messages and protocol-order violations (no HELLO
-// first, client frames on node connections) close the offending
-// connection and count tcp_malformed_frames — never crash, never block
-// other peers.
+// first, client frames on node connections, any byte on a dialed
+// connection) close the offending connection and count
+// tcp_malformed_frames — never crash, never block other peers.
 #ifndef DPAXOS_NET_TCP_TCP_TRANSPORT_H_
 #define DPAXOS_NET_TCP_TCP_TRANSPORT_H_
 
@@ -37,6 +41,7 @@
 #include "common/types.h"
 #include "net/tcp/event_loop.h"
 #include "net/tcp/framing.h"
+#include "net/tcp/reactor_pool.h"
 #include "net/tcp/socket_util.h"
 #include "net/transport.h"
 
@@ -52,16 +57,13 @@ struct TcpTransportOptions {
   Duration reconnect_backoff_base = 50 * kMillisecond;
   Duration reconnect_backoff_cap = 2 * kSecond;
   int listen_backlog = 64;
-  /// Delay before a queued frame is flushed to the socket. The default 0
-  /// still coalesces: the flush timer fires at the END of the current
-  /// poll round, so every frame queued while dispatching one epoll batch
-  /// shares a single gather write. Raising it trades latency for bigger
-  /// batches under light load.
-  Duration flush_delay = 0;
+  /// Reactor threads serving accepted connections (>= 1).
+  uint32_t reactors = 1;
 };
 
-/// Instance-level traffic counters (ThreadPerfCounters() mirrors these
-/// process-wide; see tcp_* fields in common/perf_counters.h).
+/// Instance-level traffic counters: the dialed sockets plus the reactor
+/// pool (ThreadPerfCounters() mirrors the replica-loop share; see tcp_*
+/// fields in common/perf_counters.h).
 struct TcpTransportStats {
   uint64_t bytes_in = 0;
   uint64_t bytes_out = 0;
@@ -73,6 +75,8 @@ struct TcpTransportStats {
   uint64_t malformed_frames = 0;
   uint64_t writev_calls = 0;      ///< gather-write syscalls issued
   uint64_t frames_coalesced = 0;  ///< frames that shared a syscall (batch-1)
+  uint64_t reactor_rounds_busy = 0;  ///< reactor poll rounds that found work
+  uint64_t reactor_rounds_idle = 0;
 };
 
 /// \brief TCP Transport for one node of a real cluster.
@@ -94,7 +98,8 @@ class TcpTransport final : public Transport {
     decode_ = std::move(decode);
   }
 
-  /// Bind + listen on cluster[self]. Call once before the loop runs.
+  /// Bind + listen on cluster[self] and start the reactor pool. Call
+  /// once, after set_wire_codec, before the loop runs.
   Status Listen();
   /// The actually-bound listen port (differs from the spec when the
   /// endpoint was given port 0).
@@ -105,7 +110,8 @@ class TcpTransport final : public Transport {
   void Send(NodeId from, NodeId to, MessagePtr msg) override;
 
   // --- external clients ----------------------------------------------
-  /// `conn` identifies the client connection for SendClientReply;
+  /// Runs on the loop thread. `conn` identifies the client connection
+  /// for SendClientReply;
   /// `client_id` is the id the client declared in its HELLO (servers tag
   /// transactions with it for exactly-once dedup).
   using ClientRequestHandler = std::function<void(
@@ -117,49 +123,28 @@ class TcpTransport final : public Transport {
   void SendClientReply(uint64_t conn, const ClientReply& reply);
 
   // --- introspection & fault injection -------------------------------
-  const TcpTransportStats& stats() const { return stats_; }
-  size_t open_connections() const { return conns_.size(); }
+  /// Snapshot of this transport's counters with the pool's folded in.
+  TcpTransportStats stats() const;
   NodeId self() const { return self_; }
-
-  /// Hand accepted connections to an external owner (the multi-reactor
-  /// pool) instead of serving them on this loop. Called with the fresh
-  /// nonblocking fd (TCP_NODELAY already set) before any byte is read;
-  /// the callee owns the fd from then on. Accepts still count in stats.
-  void set_accept_handoff(std::function<void(int fd)> handoff) {
-    accept_handoff_ = std::move(handoff);
-  }
-
-  /// Deliver an already-decoded node message to the registered handler as
-  /// if it had arrived on a socket owned by this transport — the reinject
-  /// path for node frames read on reactor threads.
-  void InjectDelivery(NodeId from, const MessagePtr& msg);
 
   /// Test hook: fix up a peer endpoint after it bound an ephemeral port.
   void UpdatePeerAddress(NodeId node, HostPort addr);
 
-  /// Test hook (forced-disconnect nemesis): hard-close every open
-  /// connection. Outbound peers redial with backoff; queued and
-  /// half-written frames are dropped, which the Send contract allows.
+  /// Test hook (forced-disconnect nemesis): hard-close every dialed
+  /// connection. Peers redial with backoff; queued and half-written
+  /// frames are dropped, which the Send contract allows.
   void CloseAllConnections();
 
  private:
+  /// A dialed (write-only) connection to a peer node.
   struct Conn {
     uint64_t id = 0;
     int fd = -1;
-    bool inbound = false;
-    bool established = false;  ///< TCP connect completed (outbound)
-    bool hello_done = false;   ///< inbound: peer identified itself
-    PeerKind kind = PeerKind::kNode;
-    uint64_t peer_id = 0;   ///< HELLO id (NodeId or client id)
-    NodeId peer_node = 0;   ///< outbound: dialed node
-    FrameDecoder decoder;
-    /// Frames staged for this socket, flushed with one gather write per
-    /// syscall. outpos is the bytes of the FRONT frame already written
-    /// (partial-write resumption); outq_bytes is the staged total that
-    /// bounds refill from the peer queue.
-    std::deque<std::string> outq;
-    size_t outpos = 0;
-    size_t outq_bytes = 0;
+    bool established = false;  ///< TCP connect completed
+    NodeId peer_node = 0;
+    /// Frames staged for this socket; out.bytes bounds refill from the
+    /// peer queue.
+    OutQueue out;
     bool want_write = false;
     bool flush_scheduled = false;  ///< a flush timer is pending
   };
@@ -177,7 +162,6 @@ class TcpTransport final : public Transport {
   void AcceptReady();
   void ConnEvent(uint64_t conn_id, uint32_t events);
   void ReadReady(Conn* conn);
-  bool ConsumeFrame(Conn* conn, std::string_view body);
   void FlushConn(Conn* conn);
   /// Arm the per-conn flush timer (no-op if one is already pending).
   void ScheduleFlush(Conn* conn);
@@ -191,7 +175,6 @@ class TcpTransport final : public Transport {
   Duration ReconnectDelay(uint32_t attempt);
   void MarkMalformed(Conn* conn, const char* why);
   Conn* FindConn(uint64_t conn_id);
-  void UpdateWriteInterest(Conn* conn);
 
   EventLoop* loop_;
   NodeId self_;
@@ -199,7 +182,6 @@ class TcpTransport final : public Transport {
   TcpTransportOptions options_;
   Handler handler_;
   ClientRequestHandler client_handler_;
-  std::function<void(int fd)> accept_handoff_;
   Encoder encode_;
   Decoder decode_;
   int listen_fd_ = -1;
@@ -212,6 +194,9 @@ class TcpTransport final : public Transport {
   /// Flipped by the destructor so in-flight self-delivery closures
   /// scheduled on the loop become no-ops instead of use-after-free.
   std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
+  /// Serves accepted connections; started by Listen(), stopped first by
+  /// the destructor so no reactor outlives the state it posts to.
+  std::unique_ptr<ReactorPool> pool_;
 };
 
 }  // namespace dpaxos

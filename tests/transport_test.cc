@@ -3,10 +3,12 @@
 // injection, stats) and the TCP transport's conformance to the
 // Transport::Send delivery contract over real loopback sockets.
 #include <gtest/gtest.h>
+#include <poll.h>
 #include <sys/epoll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <cstring>
 #include <memory>
 #include <set>
@@ -16,7 +18,6 @@
 
 #include "net/tcp/event_loop.h"
 #include "net/tcp/framing.h"
-#include "net/tcp/reactor_pool.h"
 #include "net/tcp/socket_util.h"
 #include "net/tcp/tcp_transport.h"
 #include "net/transport.h"
@@ -550,78 +551,99 @@ TEST_F(TcpTransportTest, HostileLengthPrefixClosesConnectionNotProcess) {
   close(fd.value());
 }
 
-// --- ReactorPool: reply batching with a tunable flush delay ------------
-//
-// A nonzero reply_flush_delay holds each home round's replies open so
-// later rounds can join the same writev window. The delay must never
-// reorder or drop replies on a connection: this cell pushes a burst of
-// client requests through a delayed pool and checks every reply comes
-// back exactly once, in request order.
-TEST_F(TcpTransportTest, ReactorPoolDelayedFlushPreservesReplyOrder) {
-  constexpr int kRequests = 200;
-  EventLoop home(16);
-  ReactorPoolOptions options;
-  options.reactors = 1;
-  options.reply_flush_delay = 2 * kMillisecond;
-  ReactorPool pool(&home, options);
-  pool.set_node_message_handler([](NodeId, MessagePtr) {});
-  pool.set_client_request_handler(
-      [&](uint64_t token, uint64_t, const ClientRequest& req) {
+// --- Accepted connections: the reactor pool behind every transport -----
+
+// A raw socket dialed to a local transport. The kernel completes the
+// loopback handshake before the transport accepts, so the caller can
+// write at once.
+int DialRaw(uint16_t port) {
+  Result<int> fd = StartConnect(HostPort{"127.0.0.1", port});
+  if (!fd.ok()) return -1;
+  pollfd pfd{fd.value(), POLLOUT, 0};
+  poll(&pfd, 1, 5000);
+  return fd.value();
+}
+
+void SendAll(EventLoop& loop, int fd, const std::string& bytes) {
+  size_t sent = 0;
+  while (sent < bytes.size()) {
+    const ssize_t n = send(fd, bytes.data() + sent, bytes.size() - sent,
+                           MSG_NOSIGNAL);
+    if (n > 0) {
+      sent += static_cast<size_t>(n);
+    } else {
+      loop.RunUntil([] { return false; }, kMillisecond);
+    }
+  }
+}
+
+// True once the server side closed `fd`.
+bool AwaitClosed(EventLoop& loop, int fd) {
+  return loop.RunUntil(
+      [fd] {
+        char c;
+        const ssize_t n = recv(fd, &c, 1, MSG_DONTWAIT);
+        return n == 0 || (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK);
+      },
+      5 * kSecond);
+}
+
+// A transport on node 0 of a two-node cluster whose client handler
+// answers every request with its value, padded to `reply_pad` bytes.
+std::unique_ptr<TcpTransport> MakeEchoServer(EventLoop& loop,
+                                             size_t reply_pad) {
+  const std::vector<HostPort> any = {HostPort{"127.0.0.1", 0},
+                                     HostPort{"127.0.0.1", 0}};
+  auto server = std::make_unique<TcpTransport>(&loop, 0, any);
+  TcpTransport* raw = server.get();
+  raw->set_wire_codec([](const Message&, std::string*) {},
+                      [](std::string_view) -> MessagePtr { return nullptr; });
+  EXPECT_TRUE(raw->Listen().ok());
+  raw->set_client_request_handler(
+      [raw, reply_pad](uint64_t conn, uint64_t, const ClientRequest& req) {
         ClientReply reply;
         reply.request_id = req.request_id;
         reply.value = req.value;
-        pool.SendClientReply(token, reply);
+        if (reply.value.size() < reply_pad) reply.value.resize(reply_pad, 'x');
+        raw->SendClientReply(conn, reply);
       });
-  pool.Start();
+  return server;
+}
 
-  Result<int> listener = OpenListener(HostPort{"127.0.0.1", 0}, 4);
-  ASSERT_TRUE(listener.ok());
-  Result<uint16_t> port = BoundPort(listener.value());
-  ASSERT_TRUE(port.ok());
-  Result<int> client = StartConnect(HostPort{"127.0.0.1", port.value()});
-  ASSERT_TRUE(client.ok());
-  int server_fd = -1;
-  ASSERT_TRUE(home.RunUntil(
-      [&] {
-        if (server_fd < 0) server_fd = accept(listener.value(), nullptr,
-                                              nullptr);
-        return server_fd >= 0;
-      },
-      kWait));
-  ASSERT_TRUE(SetNonBlocking(server_fd).ok());
-  SetNoDelay(server_fd);
-  pool.Adopt(server_fd);
-
-  // Client side: HELLO + the whole burst in one write.
-  std::string outbound = EncodeHelloFrame(Hello{PeerKind::kClient, 7});
-  for (int i = 1; i <= kRequests; ++i) {
+std::string ClientBurst(uint64_t client_id, int requests) {
+  std::string out = EncodeHelloFrame(Hello{PeerKind::kClient, client_id});
+  for (int i = 1; i <= requests; ++i) {
     ClientRequest req;
     req.request_id = static_cast<uint64_t>(i);
     req.op = ClientOp::kPut;
     req.key = "k";
     req.value = "v" + std::to_string(i);
-    outbound += EncodeClientRequestFrame(req);
+    out += EncodeClientRequestFrame(req);
   }
-  size_t sent = 0;
-  while (sent < outbound.size()) {
-    const ssize_t n = send(client.value(), outbound.data() + sent,
-                           outbound.size() - sent, MSG_NOSIGNAL);
-    if (n > 0) {
-      sent += static_cast<size_t>(n);
-    } else {
-      home.RunUntil([] { return false; }, kMillisecond);
-    }
-  }
+  return out;
+}
+
+// Replies are staged per home round and flushed at the end of it. The
+// batching must never reorder or drop replies on a connection: a burst
+// of client requests gets every reply back exactly once, in request
+// order.
+TEST_F(TcpTransportTest, ReactorPoolPreservesReplyOrder) {
+  constexpr int kRequests = 200;
+  EventLoop loop(16);
+  std::unique_ptr<TcpTransport> server = MakeEchoServer(loop, 0);
+  const int client = DialRaw(server->listen_port());
+  ASSERT_GE(client, 0);
+  SendAll(loop, client, ClientBurst(7, kRequests));
 
   // Collect replies on the home loop (the reactor runs on its own
-  // thread; the flush timer needs the home loop spinning).
+  // thread; the reply flush needs the home loop spinning).
   FrameDecoder decoder;
   std::vector<uint64_t> reply_ids;
-  ASSERT_TRUE(SetNonBlocking(client.value()).ok());
-  ASSERT_TRUE(home.WatchFd(client.value(), EPOLLIN, [&](uint32_t) {
+  ASSERT_TRUE(SetNonBlocking(client).ok());
+  ASSERT_TRUE(loop.WatchFd(client, EPOLLIN, [&](uint32_t) {
     char buf[16384];
     for (;;) {
-      const ssize_t n = recv(client.value(), buf, sizeof(buf), 0);
+      const ssize_t n = recv(client, buf, sizeof(buf), 0);
       if (n <= 0) break;
       decoder.Feed(std::string_view(buf, static_cast<size_t>(n)));
       std::string_view body;
@@ -632,19 +654,104 @@ TEST_F(TcpTransportTest, ReactorPoolDelayedFlushPreservesReplyOrder) {
       }
     }
   }).ok());
-  ASSERT_TRUE(home.RunUntil(
+  ASSERT_TRUE(loop.RunUntil(
       [&] { return reply_ids.size() >= kRequests; }, kWait));
 
   ASSERT_EQ(reply_ids.size(), static_cast<size_t>(kRequests));
   for (int i = 0; i < kRequests; ++i) {
     EXPECT_EQ(reply_ids[i], static_cast<uint64_t>(i + 1));
   }
-  const ReactorPoolStats stats = pool.stats();
-  EXPECT_EQ(stats.frames_out, static_cast<uint64_t>(kRequests));
-  home.UnwatchFd(client.value());
-  pool.Stop();
-  close(client.value());
-  close(listener.value());
+  EXPECT_EQ(server->stats().frames_out, static_cast<uint64_t>(kRequests));
+  loop.UnwatchFd(client);
+  close(client);
+}
+
+// The pool's reply path under a slow reader: 10 MB of replies outgrow
+// what the socket buffers hold (the send buffer caps at 4 MB by
+// default), forcing short gather writes that the reactor must resume on
+// EPOLLOUT mid-frame without corrupting or reordering.
+TEST_F(TcpTransportTest, ReactorPoolSlowReaderPartialWriteResumes) {
+  constexpr int kRequests = 64;
+  constexpr size_t kPad = 160 * 1024;
+  EventLoop loop(18);
+  std::unique_ptr<TcpTransport> server = MakeEchoServer(loop, kPad);
+  const int client = DialRaw(server->listen_port());
+  ASSERT_GE(client, 0);
+  SendAll(loop, client, ClientBurst(8, kRequests));
+  ASSERT_TRUE(SetNonBlocking(client).ok());
+
+  // Drain in 16 KB sips interleaved with loop polls; every byte of every
+  // reply must come out intact and in order.
+  FrameDecoder decoder;
+  std::vector<uint64_t> reply_ids;
+  for (int spin = 0;
+       static_cast<int>(reply_ids.size()) < kRequests && spin < 20000;
+       ++spin) {
+    loop.RunUntil([&] { return false; }, 1 * kMillisecond);
+    char buf[16384];
+    const ssize_t n = recv(client, buf, sizeof(buf), 0);
+    if (n <= 0) continue;
+    decoder.Feed(std::string_view(buf, static_cast<size_t>(n)));
+    std::string_view body;
+    while (decoder.Pop(&body) == FrameDecoder::Next::kFrame) {
+      Result<ClientReply> reply = ParseClientReply(body);
+      ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+      const std::string& value = reply.value().value;
+      ASSERT_EQ(value.size(), kPad);
+      EXPECT_EQ(value.substr(0, value.find('x')),
+                "v" + std::to_string(reply.value().request_id));
+      EXPECT_EQ(value.back(), 'x');
+      reply_ids.push_back(reply.value().request_id);
+    }
+    ASSERT_FALSE(decoder.failed()) << decoder.error();
+  }
+  ASSERT_EQ(reply_ids.size(), static_cast<size_t>(kRequests));
+  for (int i = 0; i < kRequests; ++i) {
+    EXPECT_EQ(reply_ids[i], static_cast<uint64_t>(i + 1));
+  }
+  // The replies cannot fit one syscall: the reactor's flush must have
+  // resumed after partial writes.
+  EXPECT_GT(server->stats().writev_calls, 1u);
+  close(client);
+}
+
+// Protocol-order violations after a valid HELLO: a node message on a
+// client connection and a client request on a node connection. Each
+// closes only its own connection and counts one malformed frame; a
+// legitimate peer keeps delivering.
+TEST_F(TcpTransportTest, ReactorPoolRejectsFramesOfTheWrongPeerKind) {
+  EventLoop loop(19);
+  std::vector<std::pair<NodeId, int>> received;
+  Pair pair = MakePair(loop, &received);
+  const uint16_t port = pair.b->listen_port();
+  const int as_client = DialRaw(port);
+  const int as_node = DialRaw(port);
+  ASSERT_GE(as_client, 0);
+  ASSERT_GE(as_node, 0);
+  SendAll(loop, as_client, EncodeHelloFrame(Hello{PeerKind::kClient, 5}));
+  SendAll(loop, as_node, EncodeHelloFrame(Hello{PeerKind::kNode, 0}));
+
+  std::string node_frame;
+  AppendNodeMessageFrame(std::string(16, '\0'), &node_frame);
+  SendAll(loop, as_client, node_frame);
+  ASSERT_TRUE(AwaitClosed(loop, as_client));
+  EXPECT_EQ(pair.b->stats().malformed_frames, 1u);
+  char c;
+  EXPECT_LT(recv(as_node, &c, 1, MSG_DONTWAIT), 0) << "closed the wrong conn";
+
+  ClientRequest req;
+  req.request_id = 1;
+  req.key = "k";
+  SendAll(loop, as_node, EncodeClientRequestFrame(req));
+  ASSERT_TRUE(AwaitClosed(loop, as_node));
+  EXPECT_EQ(pair.b->stats().malformed_frames, 2u);
+
+  pair.a->Send(0, 1, std::make_shared<TestMsg>(64, 515151));
+  ASSERT_TRUE(loop.RunUntil([&] { return !received.empty(); }, kWait));
+  EXPECT_EQ(received.back(), std::make_pair(NodeId{0}, 515151));
+  EXPECT_EQ(pair.b->stats().malformed_frames, 2u);
+  close(as_client);
+  close(as_node);
 }
 
 }  // namespace

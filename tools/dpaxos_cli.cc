@@ -17,6 +17,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 
@@ -109,14 +110,9 @@ struct CliOptions {
   double rate = 0;  // offered ops/s, 0 = closed loop
   std::string log_dir;
 
-  // --reactors serves double duty: reactor threads for --serve (0 =
-  // single-threaded loop) and the per-node override for realnet
-  // (which defaults to 2 when the flag is absent).
-  uint32_t reactors = 0;
-  bool reactors_set = false;
-  /// Reply-batch hold time for the reactor pool (--serve and realnet
-  /// children); 0 keeps the legacy end-of-round flush.
-  Duration reply_flush = 0;
+  // --reactors serves double duty: reactor threads for --serve (default
+  // 1) and the per-node override for realnet (default 2).
+  std::optional<uint32_t> reactors;
 
   // --experiment=realchaos only.
   uint32_t soak_connections = 0;
@@ -175,8 +171,6 @@ void Usage() {
       "                         population that moves zones mid-run,\n"
       "                         static-leader vs --ownership adaptive\n"
       "  --reactors=N           reactor threads per node (default 2)\n"
-      "  --reply-flush-us=US    reactor reply-batch hold time (0 = flush\n"
-      "                         each dispatch round; see docs/perf.md)\n"
       "  --logdir=DIR           per-node server logs (default: inherit)\n"
       "  --out=PATH             JSON output (default BENCH_realnet.json)\n"
       "realchaos experiment (proxied cluster + nemesis + checkers):\n"
@@ -192,7 +186,8 @@ void Usage() {
       "                         into (default BENCH_realnet.json)\n"
       "real-network server (see docs/realnet.md):\n"
       "  --serve --node=N --cluster=HOST:PORT,...   run one node\n"
-      "  --reactors=N           reactor threads (0 = single-threaded)\n"
+      "  --reactors=N           reactor threads serving accepted\n"
+      "                         connections (>= 1, default 1)\n"
       "  --zones=Z              zone count (nodes split evenly)\n"
       "  --hint=N               leader hint for forwarded writes\n"
       "  --catchup-delay-ms=MS  snapshot catch-up delay after start\n"
@@ -263,8 +258,6 @@ bool ParseArgImpl(const std::string& arg, CliOptions* o) {
     o->leases = true;
   } else if (arg == "--fast-path") {
     o->fast_path = true;
-  } else if (value_of("--reply-flush-us", &v)) {
-    o->reply_flush = std::stoull(v) * kMicrosecond;
   } else if (value_of("--seed", &v)) {
     o->seed = std::stoull(v);
   } else if (value_of("--schedule", &v)) {
@@ -325,8 +318,9 @@ bool ParseArgImpl(const std::string& arg, CliOptions* o) {
   } else if (value_of("--rate", &v)) {
     o->rate = std::stod(v);
   } else if (value_of("--reactors", &v)) {
-    o->reactors = static_cast<uint32_t>(std::stoul(v));
-    o->reactors_set = true;
+    const uint32_t n = static_cast<uint32_t>(std::stoul(v));
+    if (n == 0) return false;  // accepted connections need a reactor
+    o->reactors = n;
   } else if (value_of("--soak-connections", &v)) {
     o->soak_connections = static_cast<uint32_t>(std::stoul(v));
   } else if (arg == "--ownership") {
@@ -597,8 +591,7 @@ int RunServe(const CliOptions& o, ProtocolMode mode) {
   server.leader_hint = o.hint;
   server.catchup_delay = o.catchup_delay;
   server.compaction_interval = o.compaction_interval;
-  server.reactors = o.reactors;
-  server.reply_flush_delay = o.reply_flush;
+  server.tcp.reactors = o.reactors.value_or(1);
   server.replica.enable_compaction = o.compaction_interval > 0;
   server.replica.compaction_retained_suffix = o.compaction_retain;
   server.replica.enable_fast_path = o.fast_path;
@@ -700,8 +693,7 @@ int RunRealnetCli(const CliOptions& o) {
   bench.connections = o.connections;
   bench.pipeline = o.pipeline;
   bench.rate = o.rate;
-  if (o.reactors_set) bench.reactors = o.reactors;
-  bench.reply_flush_us = static_cast<uint32_t>(o.reply_flush / kMicrosecond);
+  if (o.reactors) bench.reactors = *o.reactors;
   bench.json_path = o.out_set ? o.out : "BENCH_realnet.json";
   bench.log_dir = o.log_dir;
   bench.data_dir_base = o.data_dir;  // "" = temp dir for the durable cell
@@ -906,7 +898,7 @@ int main(int argc, char** argv) {
   CliOptions options;
   for (int i = 1; i < argc; ++i) {
     if (!ParseArg(argv[i], &options)) {
-      std::cerr << "unknown argument: " << argv[i] << "\n";
+      std::cerr << "bad argument: " << argv[i] << "\n";
       Usage();
       return 2;
     }
