@@ -27,6 +27,9 @@ cmake --build "$BUILD_DIR" \
 # poisoned state; detect_leaks covers the long-lived harness allocations.
 export ASAN_OPTIONS="abort_on_error=1:detect_leaks=1 ${ASAN_OPTIONS:-}"
 
+# Envelope, CRC-32 and KV snapshot cells: slice-by-8 reads eight bytes
+# at a time at every start offset, and the envelope is serialized in
+# place into a buffer reserved to the exact size.
 "$BUILD_DIR/tests/snapshot_test"
 "$BUILD_DIR/tests/wire_fuzz_test"
 "$BUILD_DIR/tests/wire_test"

@@ -95,7 +95,7 @@ Status NodeServer::Start() {
   replica_->set_snapshot_hooks(
       [this](SlotId* through) {
         *through = applier_.applied_watermark();
-        return EncodeSnapshot(*through, kv_.SerializeFull());
+        return kv_.SnapshotEnvelope(*through);
       },
       [this](SlotId through, const std::string& envelope) {
         Result<Snapshot> snap = DecodeSnapshot(envelope);
@@ -332,16 +332,11 @@ void NodeServer::ScheduleCompactionSweep() {
     const uint64_t retained = options_.replica.compaction_retained_suffix;
     if (watermark > retained) {
       Status st = replica_->Compact(watermark - retained);
+      // In WAL mode the snapshot and release records Compact journals
+      // are the whole durable step; the WAL folds itself into a
+      // checkpoint once its live bytes pass checkpoint_bytes.
       if (!st.ok() && !st.IsFailedPrecondition()) {
         DPAXOS_WARN("compaction failed: " << st.ToString());
-      }
-      if (st.ok() && wal_ != nullptr) {
-        // The log prefix just shrank; fold the WAL down to full images
-        // so recovery time tracks the live state, not history.
-        Status ck = wal_->Checkpoint();
-        if (!ck.ok()) {
-          DPAXOS_WARN("wal checkpoint failed: " << ck.ToString());
-        }
       }
     }
     ScheduleCompactionSweep();
@@ -596,6 +591,8 @@ std::string NodeServer::StatsString() const {
   out += " keys=" + std::to_string(kv_.size());
   out += " checksum=" + std::to_string(kv_.Checksum());
   out += " snapshots_installed=" + std::to_string(pc.snapshots_installed);
+  out += " stale_snapshots_skipped=" +
+         std::to_string(pc.stale_snapshots_skipped);
   out += " log_compactions=" + std::to_string(pc.log_compactions);
   out += " catchups=" + std::to_string(catchups_completed_);
   out += " catchup_repairs=" + std::to_string(catchup_repairs_);

@@ -1811,6 +1811,9 @@ Status Replica::Compact(SlotId through) {
     return Status::FailedPrecondition(
         "snapshot hooks required before compacting history");
   }
+  // Serializing the state is the expensive part: skip it when nothing
+  // new could be released.
+  if (std::min(through, watermark_) <= log_start_) return Status::OK();
   // Snapshot first: everything we drop must be covered by a durable,
   // CRC-protected image. The provider reports the true coverage slot,
   // which may exceed the requested compaction point.
@@ -1965,6 +1968,14 @@ void Replica::InstallReassembledSnapshot() {
   cu.snap_through = 0;
   cu.snap_total = 0;
 
+  if (through <= watermark_) {
+    // Decides kept flowing while the chunks did (or the peer served an
+    // image older than our state): installing would roll the state
+    // machine back below slots it has already applied.
+    ++counters_.stale_snapshots_skipped;
+    CatchUpRequestNext();
+    return;
+  }
   // The installer verifies the envelope CRC before touching any state;
   // a corrupt transfer must never be applied silently.
   const Status st = snapshot_installer_(through, envelope);
@@ -1976,20 +1987,18 @@ void Replica::InstallReassembledSnapshot() {
     return;
   }
   ++counters_.snapshots_installed;
-  if (through > watermark_) {
-    // Crash-consistent install: persist the verified envelope, sync,
-    // THEN truncate. A lossy restart between the two syncs keeps the
-    // snapshot and merely re-releases the prefix.
-    acceptor_.StoreSnapshot(through, std::move(envelope));
-    StorageBarrier();
-    decided_.TruncateTo(through);
-    log_start_ = std::max(log_start_, through);
-    watermark_ = std::max(watermark_, through);
-    while (decided_.Contains(watermark_)) ++watermark_;
-    FlushDeferredAcks();
-    acceptor_.ReleaseAcceptedBelow(through);
-    StorageBarrier();
-  }
+  // Crash-consistent install: persist the verified envelope, sync, THEN
+  // truncate. A lossy restart between the two syncs keeps the snapshot
+  // and merely re-releases the prefix.
+  acceptor_.StoreSnapshot(through, std::move(envelope));
+  StorageBarrier();
+  decided_.TruncateTo(through);
+  log_start_ = std::max(log_start_, through);
+  watermark_ = through;
+  while (decided_.Contains(watermark_)) ++watermark_;
+  FlushDeferredAcks();
+  acceptor_.ReleaseAcceptedBelow(through);
+  StorageBarrier();
   // Resume pulling the residual log tail above the snapshot.
   CatchUpRequestNext();
 }

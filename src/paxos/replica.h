@@ -65,6 +65,9 @@ struct ProtocolCounters {
   uint64_t snapshot_bytes_received = 0;  ///< chunk payload bytes accepted
   uint64_t snapshots_installed = 0;  ///< CRC-verified installs completed
   uint64_t snapshot_corruptions_detected = 0;
+  /// Transfers that arrived covering no more than this replica had
+  /// already decided, skipped instead of rolling its state back.
+  uint64_t stale_snapshots_skipped = 0;
   uint64_t catchup_failovers = 0;    ///< catch-ups retargeted to a new peer
   uint64_t log_compactions = 0;      ///< successful Compact() truncations
   /// Structurally valid messages dropped as semantically implausible

@@ -6,6 +6,7 @@
 
 #include "common/codec.h"
 #include "common/logging.h"
+#include "smr/snapshot.h"
 #include "txn/transaction.h"
 
 namespace dpaxos {
@@ -45,7 +46,11 @@ void KvStateMachine::Apply(SlotId slot, const std::string& payload) {
     ++applied_commands_;
     for (const Operation& op : txn.ops) {
       if (op.kind == Operation::Kind::kPut) {
-        data_[op.key] = op.value;
+        auto [it, inserted] = data_.try_emplace(op.key);
+        if (inserted) pair_bytes_ += 8 + op.key.size();
+        pair_bytes_ -= it->second.size();
+        pair_bytes_ += op.value.size();
+        it->second = op.value;
         ++applied_writes_;
       }
     }
@@ -79,48 +84,26 @@ std::optional<std::string> KvStateMachine::Get(const std::string& key) const {
   return it->second;
 }
 
-std::string KvStateMachine::Serialize() const {
-  // Reuse the transaction codec: one put per pair, sorted for canonical
-  // output.
-  std::vector<std::pair<std::string, std::string>> pairs(data_.begin(),
-                                                         data_.end());
-  std::sort(pairs.begin(), pairs.end());
-  Transaction all;
-  all.id = 0;
-  all.ops.reserve(pairs.size());
-  for (auto& [k, v] : pairs) {
-    all.ops.push_back(Operation::Put(std::move(k), std::move(v)));
+size_t KvStateMachine::SerializedSize() const {
+  // Pair count, pairs, client count, then per client its id, prefix,
+  // sparse count and sparse seqs, then the three counters. Computed
+  // from sizes alone: walking the maps and sets to count them would
+  // cost as much as writing them. SealSnapshot checks the sum.
+  size_t bytes = 8 + pair_bytes_ + 8;
+  for (const auto& [id, window] : applied_seqs_) {
+    bytes += 24 + 8 * window.sparse.size();
   }
-  return EncodeBatch({all});
+  return bytes + 24;
 }
 
-Status KvStateMachine::Restore(const std::string& snapshot) {
-  Result<std::vector<Transaction>> decoded = DecodeBatch(snapshot);
-  if (!decoded.ok()) return decoded.status();
-  if (decoded->size() != 1) {
-    return Status::Corruption("snapshot must hold exactly one batch entry");
-  }
-  data_.clear();
-  for (const Operation& op : decoded->front().ops) {
-    if (op.kind != Operation::Kind::kPut) {
-      return Status::Corruption("snapshot contains a non-put op");
-    }
-    data_[op.key] = op.value;
-  }
-  return Status::OK();
-}
-
-std::string KvStateMachine::SerializeFull() const {
-  std::string out;
-  ByteWriter w(&out);
-  std::vector<std::pair<std::string, std::string>> pairs(data_.begin(),
-                                                         data_.end());
-  std::sort(pairs.begin(), pairs.end());
-  w.PutU64(pairs.size());
-  for (const auto& [k, v] : pairs) {
+void KvStateMachine::AppendFull(std::string* out) const {
+  ByteWriter w(out);
+  w.PutU64(data_.size());
+  for (const auto& [k, v] : data_) {
     w.PutString(k);
     w.PutString(v);
   }
+  // The client table is small; sorting it keeps the section canonical.
   std::vector<uint64_t> clients;
   clients.reserve(applied_seqs_.size());
   for (const auto& [id, window] : applied_seqs_) clients.push_back(id);
@@ -136,6 +119,19 @@ std::string KvStateMachine::SerializeFull() const {
   w.PutU64(applied_commands_);
   w.PutU64(applied_writes_);
   w.PutU64(duplicates_skipped_);
+}
+
+std::string KvStateMachine::SerializeFull() const {
+  std::string out;
+  out.reserve(SerializedSize());
+  AppendFull(&out);
+  return out;
+}
+
+std::string KvStateMachine::SnapshotEnvelope(SlotId through) const {
+  std::string out = BeginSnapshot(through, SerializedSize());
+  AppendFull(&out);
+  SealSnapshot(&out);
   return out;
 }
 
@@ -145,12 +141,19 @@ Status KvStateMachine::RestoreFull(const std::string& snapshot) {
   std::unordered_map<uint64_t, ClientWindow> seqs;
   uint64_t pairs = 0;
   if (!r.ReadU64(&pairs)) return Status::Corruption("kv snapshot truncated");
+  // Each pair takes at least its two length prefixes, which bounds the
+  // reservation on a hostile count.
+  data.reserve(std::min<uint64_t>(pairs, r.remaining() / 8));
+  uint64_t pair_bytes = 0;
   for (uint64_t i = 0; i < pairs; ++i) {
     std::string k, v;
     if (!r.ReadString(&k) || !r.ReadString(&v)) {
       return Status::Corruption("kv snapshot truncated");
     }
-    data[std::move(k)] = std::move(v);
+    pair_bytes += 8 + k.size() + v.size();
+    if (!data.try_emplace(std::move(k), std::move(v)).second) {
+      return Status::Corruption("kv snapshot repeats a key");
+    }
   }
   uint64_t clients = 0;
   if (!r.ReadU64(&clients)) return Status::Corruption("kv snapshot truncated");
@@ -173,6 +176,7 @@ Status KvStateMachine::RestoreFull(const std::string& snapshot) {
     return Status::Corruption("kv snapshot malformed");
   }
   data_ = std::move(data);
+  pair_bytes_ = pair_bytes;
   applied_seqs_ = std::move(seqs);
   applied_commands_ = commands;
   applied_writes_ = writes;

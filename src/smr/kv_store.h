@@ -42,22 +42,23 @@ class KvStateMachine final : public StateMachine {
   /// checksums on two replicas mean convergent state.
   uint64_t Checksum() const;
 
-  /// Serialize the full state for snapshot transfer (sorted, so equal
-  /// states serialize identically).
-  std::string Serialize() const;
-
-  /// Replace the state with a previously serialized snapshot. Returns
-  /// Corruption on malformed input, leaving the state unchanged.
-  Status Restore(const std::string& snapshot);
-
-  /// Like Serialize(), but also captures the per-client dedup windows
-  /// and apply counters. Snapshot-installing a replica needs these:
-  /// without the windows a client retry straddling the snapshot point
-  /// would be applied twice during residual log replay.
+  /// Serialize the full state for snapshot transfer: every key/value
+  /// pair, the per-client dedup windows and the apply counters. Restore
+  /// needs the windows: without them a client retry straddling the
+  /// snapshot point would be applied twice during residual log replay.
+  /// The pairs are written straight from the hash map, so their order is
+  /// unspecified and two equal states may serialize to different bytes
+  /// of the same size; compare states with Checksum(), not bytes.
   std::string SerializeFull() const;
 
-  /// Counterpart of SerializeFull(). Returns Corruption on malformed
-  /// input, leaving the state unchanged.
+  /// SerializeFull() wrapped in the snapshot envelope (smr/snapshot.h)
+  /// covering slots [0, through): the bytes of
+  /// EncodeSnapshot(through, SerializeFull()), written once into a
+  /// buffer reserved to the exact size.
+  std::string SnapshotEnvelope(SlotId through) const;
+
+  /// Replace the state with a SerializeFull() image. Returns Corruption
+  /// on malformed input, leaving the state unchanged.
   Status RestoreFull(const std::string& snapshot);
 
  private:
@@ -74,7 +75,16 @@ class KvStateMachine final : public StateMachine {
     bool Contains(uint64_t seq) const;
   };
 
+  // Exact byte size of the SerializeFull() image, without a pass over
+  // the pairs (pair_bytes_ tracks their share) or the dedup windows.
+  size_t SerializedSize() const;
+  // Appends the SerializeFull() image to *out.
+  void AppendFull(std::string* out) const;
+
   std::unordered_map<std::string, std::string> data_;
+  // Encoded size of every pair in data_: two u32 length prefixes plus
+  // the key and value bytes.
+  uint64_t pair_bytes_ = 0;
   std::unordered_map<uint64_t, ClientWindow> applied_seqs_;
   uint64_t applied_commands_ = 0;
   uint64_t applied_writes_ = 0;

@@ -1,24 +1,50 @@
 #include "smr/snapshot.h"
 
+#include <cstring>
+
+#include "common/check.h"
 #include "common/codec.h"
 
 namespace dpaxos {
 
-std::string EncodeSnapshot(SlotId through_slot, std::string_view payload) {
+namespace {
+
+// magic + version + through + payload length.
+constexpr size_t kHeaderBytes = 4 + 4 + 8 + 4;
+
+}  // namespace
+
+std::string BeginSnapshot(SlotId through_slot, size_t payload_size) {
   std::string out;
-  out.reserve(4 + 4 + 8 + 4 + payload.size() + 4);
+  out.reserve(kHeaderBytes + payload_size + 4);
   ByteWriter w(&out);
   w.PutU32(kSnapshotMagic);
   w.PutU32(kSnapshotVersion);
   w.PutU64(through_slot);
-  w.PutString(payload);
-  w.PutU32(Crc32(out));
+  w.PutU32(static_cast<uint32_t>(payload_size));
+  return out;
+}
+
+void SealSnapshot(std::string* envelope) {
+  uint32_t payload_size = 0;
+  std::memcpy(&payload_size, envelope->data() + kHeaderBytes - 4, 4);
+  DPAXOS_CHECK_MSG(envelope->size() == kHeaderBytes + payload_size,
+                   "snapshot payload is " << envelope->size() - kHeaderBytes
+                                          << " bytes, header declares "
+                                          << payload_size);
+  ByteWriter(envelope).PutU32(Crc32(*envelope));
+}
+
+std::string EncodeSnapshot(SlotId through_slot, std::string_view payload) {
+  std::string out = BeginSnapshot(through_slot, payload.size());
+  out.append(payload);
+  SealSnapshot(&out);
   return out;
 }
 
 Result<Snapshot> DecodeSnapshot(std::string_view bytes) {
   // The CRC trails the envelope: everything before it is covered.
-  if (bytes.size() < 4 + 4 + 8 + 4 + 4) {
+  if (bytes.size() < kHeaderBytes + 4) {
     return Status::Corruption("snapshot envelope truncated");
   }
   ByteReader r(bytes);

@@ -48,6 +48,14 @@ struct Snapshot {
 /// Wrap `payload` (covering slots [0, through_slot)) in the envelope.
 std::string EncodeSnapshot(SlotId through_slot, std::string_view payload);
 
+/// In-place variant of EncodeSnapshot for a payload serialized straight
+/// into the envelope: BeginSnapshot returns the header, reserved to the
+/// whole envelope; the caller appends exactly `payload_size` bytes and
+/// SealSnapshot appends the CRC. The result is byte-identical to
+/// EncodeSnapshot without its state-sized copy of the payload.
+std::string BeginSnapshot(SlotId through_slot, size_t payload_size);
+void SealSnapshot(std::string* envelope);
+
 /// Verify and unwrap an envelope. Status::Corruption on any bit flip,
 /// truncation, bad magic, or unknown version — the payload is only
 /// returned when the checksum proves it intact.

@@ -19,9 +19,9 @@
 // snapshot drop) or a full-record checkpoint image.
 //
 // Rotation and checkpointing. The active segment rotates once it
-// exceeds segment_bytes. A checkpoint — triggered after log compaction
-// (the write-snapshot→sync→release→sync order in docs/PROTOCOL.md) or
-// when total live bytes exceed checkpoint_bytes — starts a fresh
+// exceeds segment_bytes. A checkpoint — triggered when total live bytes
+// exceed checkpoint_bytes, which bounds recovery time; log compaction
+// only journals its snapshot and release records — starts a fresh
 // segment with a full image of every record, fsyncs it, swaps the
 // MANIFEST by rename to point at it, and only then deletes the older
 // segments. A crash at any point leaves either the old manifest (new

@@ -362,12 +362,72 @@ TEST(CatchUpTest, KvSnapshotRoundTrip) {
   a.Apply(0, EncodeBatch({txn}));
 
   KvStateMachine b;
-  ASSERT_TRUE(b.Restore(a.Serialize()).ok());
+  ASSERT_TRUE(b.RestoreFull(a.SerializeFull()).ok());
   EXPECT_EQ(a.Checksum(), b.Checksum());
   EXPECT_EQ(b.Get("x"), "1");
 
-  EXPECT_FALSE(b.Restore("garbage").ok());
+  EXPECT_FALSE(b.RestoreFull("garbage").ok());
   EXPECT_EQ(b.Get("x"), "1");  // unchanged on failure
+}
+
+// A snapshot transfer that completes after the node has decided past the
+// image's coverage (decides kept arriving while the chunks did) must be
+// skipped: installing it would roll the state machine back.
+TEST(CatchUpTest, StaleSnapshotIsSkippedNotInstalled) {
+  Cluster cluster(Topology::AwsSevenZones(), ProtocolMode::kLeaderZone);
+  const NodeId leader = cluster.NodeInZone(0);
+  ASSERT_TRUE(cluster.ElectLeader(leader).ok());
+
+  const NodeId node = cluster.NodeInZone(6, 1);
+  Replica* r = cluster.replica(node);
+  KvStateMachine kv;
+  LogApplier applier(&kv);
+  r->set_decide_callback(
+      [&](SlotId s, const Value& v) { applier.OnDecided(s, v); });
+  WireSnapshotHooks(r, &kv, &applier);
+
+  // The image a slow peer captured at slot 50.
+  KvStateMachine old_kv;
+  LogApplier old_applier(&old_kv);
+  for (uint64_t i = 1; i <= 100; ++i) {
+    const Value v = PutValue(i, "k" + std::to_string(i % 7), std::to_string(i));
+    ASSERT_TRUE(cluster.Commit(leader, v).ok());
+    if (i <= 50) old_applier.OnDecided(i - 1, v);
+  }
+  ASSERT_TRUE(AwaitCatchUp(cluster, r, leader).ok());
+  ASSERT_EQ(r->DecidedWatermark(), 100u);
+  ASSERT_EQ(applier.applied_watermark(), 100u);
+  const std::string stale = old_kv.SnapshotEnvelope(50);
+  const uint64_t checksum = kv.Checksum();
+  ASSERT_NE(checksum, old_kv.Checksum());
+
+  // Start a catch-up, have the peer report a truncated log so the node
+  // asks for a snapshot, and deliver the stale image as one chunk.
+  std::optional<Status> result;
+  r->CatchUpFrom(leader, [&](const Status& st) { result = st; });
+  r->HandleMessage(leader, [] {
+    auto reply = std::make_shared<LearnReplyMsg>(0);
+    reply->from_slot = 100;
+    reply->peer_watermark = 200;
+    reply->first_available = 150;
+    return reply;
+  }());
+  r->HandleMessage(leader, std::make_shared<SnapshotChunkMsg>(
+                               0, 50, 0, stale.size(), stale));
+
+  EXPECT_EQ(kv.Checksum(), checksum);
+  EXPECT_EQ(applier.applied_watermark(), 100u);
+  EXPECT_EQ(r->DecidedWatermark(), 100u);
+  EXPECT_EQ(r->counters().stale_snapshots_skipped, 1u);
+  EXPECT_EQ(r->counters().snapshots_installed, 0u);
+
+  // Catch-up carries on from the node's own watermark and completes
+  // against the real peer.
+  while (!result.has_value() && cluster.sim().Step()) {
+  }
+  ASSERT_TRUE(result.has_value());
+  EXPECT_TRUE(result->ok()) << result->ToString();
+  EXPECT_EQ(kv.Checksum(), checksum);
 }
 
 }  // namespace

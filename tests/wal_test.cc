@@ -411,6 +411,63 @@ TEST(WalTest, CheckpointFoldsLogAndDeletesOldSegments) {
   EXPECT_TRUE(RecordsEqual(RecoveredRecord(wal.get()), model));
 }
 
+// Compaction journals a snapshot record and a release record per round
+// and nothing else: no per-compaction checkpoint. Recovery must land on
+// the newest snapshot and compaction point, and the live-bytes rule alone
+// must keep folding the log so the directory stays bounded.
+TEST(WalTest, CompactionRecordsRecoverNewestAndLiveBytesFoldTheLog) {
+  Env* env = PosixEnv();
+  const std::string dir = FreshDir("compaction_records");
+  WalOptions options;
+  options.checkpoint_bytes = 8 << 10;
+  AcceptorRecord model;
+  constexpr int kRounds = 24;
+  {
+    auto wal = OpenOrDie(env, dir, options);
+    AcceptorJournal* j = wal->Attach(0, &model);
+    for (int round = 1; round <= kRounds; ++round) {
+      for (SlotId slot = (round - 1) * 10; slot < round * 10u; ++slot) {
+        AcceptedEntry e;
+        e.slot = slot;
+        e.ballot = Ballot{1, 0};
+        e.value = Value::Of(slot + 1, "cmd-" + std::to_string(slot));
+        model.accepted.Put(slot, e);
+        j->Accepted(e);
+      }
+      ASSERT_TRUE(wal->SyncNow().ok());
+      // Replica::Compact's order: snapshot, barrier, release, barrier.
+      const SlotId through = round * 10 - 5;
+      model.snapshot_through = through;
+      model.snapshot_bytes =
+          std::string(1000, static_cast<char>('a' + round % 26));
+      j->SnapshotStored(through, model.snapshot_bytes);
+      ASSERT_TRUE(wal->SyncNow().ok());
+      model.accepted.ReleaseBelow(through);
+      model.compacted_through = through;
+      j->PrefixReleased(through);
+      ASSERT_TRUE(wal->SyncNow().ok());
+    }
+    // 24 rounds journal about 30 KiB: the 8 KiB rule folded the log.
+    EXPECT_GE(wal->stats().checkpoints, 2u);
+    uint64_t on_disk = 0;
+    auto children = env->GetChildren(dir);
+    ASSERT_TRUE(children.ok());
+    for (const std::string& name : children.value()) {
+      auto bytes = env->ReadFileToString(dir + "/" + name);
+      ASSERT_TRUE(bytes.ok());
+      on_disk += bytes.value().size();
+    }
+    EXPECT_LT(on_disk, options.checkpoint_bytes + (2u << 10));
+  }
+  auto wal = OpenOrDie(env, dir, options);
+  const AcceptorRecord recovered = RecoveredRecord(wal.get());
+  EXPECT_TRUE(RecordsEqual(recovered, model));
+  EXPECT_EQ(recovered.snapshot_through, kRounds * 10u - 5);
+  EXPECT_EQ(recovered.compacted_through, kRounds * 10u - 5);
+  EXPECT_EQ(recovered.snapshot_bytes, model.snapshot_bytes);
+  EXPECT_EQ(Entries(recovered).size(), 5u);
+}
+
 TEST(WalTest, RecoveryAfterCheckpointCrashWindows) {
   // Crash window 1: checkpoint segment written but the manifest still
   // names the old start. Replaying old deltas THEN the checkpoint images
